@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 
@@ -12,19 +12,49 @@ import org.apache.spark.sql.functions._
   * Every heuristic is threshold-free in the paper's sense: H2's `vmax ≥ 1`
   * bound is a property of the similarity definition (a token unique to both
   * sides weighs exactly 1), and H3/H4 use ranks, not similarity cutoffs.
+  *
+  * All three read one candidate graph (see [[graph]]), the disjunctive
+  * blocking graph of the MinoanER follow-up paper: every co-occurring pair
+  * with its value and neighbor similarity, and its H4 reciprocity flag.
   */
 object Heuristics {
 
   private def excludeMatched(sims: DataFrame,
                              matchedE1: DataFrame,
                              matchedE2: DataFrame): DataFrame =
-    sims.join(matchedE1.select("e1").distinct(), Seq("e1"), "left_anti")
-        .join(matchedE2.select("e2").distinct(), Seq("e2"), "left_anti")
+    sims.join(broadcast(matchedE1.select("e1").distinct()), Seq("e1"), "left_anti")
+        .join(broadcast(matchedE2.select("e2").distinct()), Seq("e2"), "left_anti")
+
+  /** Position of each pair in the `part`-side ranking of `simCol`, best
+    * first with the smaller other-side id winning ties; null where the pair
+    * has no `simCol` value, so it is not in that list.
+    */
+  private def rank(simCol: String, part: String): Column = {
+    val other = if (part == "e1") "e2" else "e1"
+    val w = Window.partitionBy(part).orderBy(desc_nulls_last(simCol), asc(other))
+    when(col(simCol).isNotNull, row_number().over(w))
+  }
+
+  /** The candidate graph: (e1, e2, vsim, nsim, reciprocal).
+    *
+    * One row per pair with a value similarity or a non-zero neighbor
+    * similarity; the missing one is null. `reciprocal` is H4's test, computed
+    * on these full tables: e2 is among e1's top-K value or neighbor
+    * candidates, and e1 among e2's.
+    */
+  def graph(valueSims: DataFrame, neighborSims: DataFrame, K: Int): DataFrame = {
+    def inTopK(part: String): Column =
+      coalesce(rank("vsim", part) <= K, lit(false)) || coalesce(rank("nsim", part) <= K, lit(false))
+    valueSims.select("e1", "e2", "vsim")
+      .join(neighborSims.where(col("nsim") > 0).select("e1", "e2", "nsim"), Seq("e1", "e2"), "full_outer")
+      .withColumn("reciprocal", inTopK("e1") && inTopK("e2"))
+  }
 
   /** H2 — value heuristic.
     *
     * For every not-yet-matched KB1 entity, keep its best co-occurring KB2
-    * candidate by valueSim; the pair is a match iff vmax ≥ 1.
+    * candidate by valueSim; the pair is a match iff vmax ≥ 1. `valueSims` may
+    * be the candidate graph: its pairs without a valueSim never qualify.
     */
   def h2(valueSims: DataFrame, matchedE1: DataFrame, matchedE2: DataFrame): DataFrame = {
     val cands = excludeMatched(valueSims, matchedE1, matchedE2)
@@ -34,76 +64,62 @@ object Heuristics {
       .select("e1", "e2")
   }
 
-  /** Normalized-rank scores of a candidate list.
-    *
-    * Candidates of each `e1` are ranked by `simCol` (desc, id-ascending tie
-    * break) and truncated to the top K; a list of size L scores its p-th
-    * element (L - p + 1) / L, i.e. 1 for the best and 1/L for the worst.
-    */
-  private def rankScores(sims: DataFrame, simCol: String, K: Int, outCol: String): DataFrame = {
-    val w = Window.partitionBy("e1").orderBy(desc(simCol), asc("e2"))
-    sims.withColumn("pos", row_number().over(w))
-      .where(col("pos") <= K)
-      .withColumn("lsize", count(lit(1)).over(Window.partitionBy("e1")))
-      .select(
-        col("e1"), col("e2"),
-        ((col("lsize") - col("pos") + 1).cast("double") / col("lsize")).as(outCol))
-  }
-
-  /** H3 — rank aggregation heuristic.
-    *
-    * For every not-yet-matched KB1 entity: rank its candidates by valueSim
-    * and (separately) by non-zero neighborSim; aggregate the two normalized
-    * ranks with weight θ on the value list and 1-θ on the neighbor list; its
-    * top-1 aggregate candidate is a match ("there is no better candidate for
-    * ei than ej").
-    */
+  /** H3 on the similarity tables: [[h3OnGraph]] over their [[graph]]. */
   def h3(valueSims: DataFrame,
          neighborSims: DataFrame,
          matchedE1: DataFrame,
          matchedE2: DataFrame,
          K: Int,
-         theta: Double): DataFrame = {
-    val v = excludeMatched(valueSims, matchedE1, matchedE2)
-    val n = excludeMatched(neighborSims.where(col("nsim") > 0), matchedE1, matchedE2)
-    val sv = rankScores(v, "vsim", K, "sv")
-    val sn = rankScores(n, "nsim", K, "sn")
-    val agg = sv.join(sn, Seq("e1", "e2"), "outer")
-      .na.fill(0.0, Seq("sv", "sn"))
-      .withColumn("score", lit(theta) * col("sv") + lit(1.0 - theta) * col("sn"))
+         theta: Double): DataFrame =
+    h3OnGraph(graph(valueSims, neighborSims, K), matchedE1, matchedE2, K, theta)
+
+  /** H3 — rank aggregation heuristic.
+    *
+    * For every not-yet-matched KB1 entity: rank its candidates by valueSim
+    * and (separately) by non-zero neighborSim, keeping the top K of each
+    * list; a list of size L scores its p-th element (L - p + 1) / L, i.e. 1
+    * for the best and 1/L for the worst. The two scores are aggregated with
+    * weight θ on the value list and 1-θ on the neighbor list; the top-1
+    * aggregate candidate is a match ("there is no better candidate for ei
+    * than ej"). Ranking happens after the matched entities are excluded.
+    */
+  def h3OnGraph(graph: DataFrame,
+                matchedE1: DataFrame,
+                matchedE2: DataFrame,
+                K: Int,
+                theta: Double): DataFrame = {
+    val byE1 = Window.partitionBy("e1")
+    def score(simCol: String): Column = {
+      val pos = rank(simCol, "e1")
+      val lsize = least(count(col(simCol)).over(byE1), lit(K.toLong))
+      when(pos <= K, (lsize - pos + 1).cast("double") / lsize)
+    }
+    val scored = excludeMatched(graph, matchedE1, matchedE2)
+      .select(col("e1"), col("e2"), score("vsim").as("sv"), score("nsim").as("sn"))
+      .where(col("sv").isNotNull || col("sn").isNotNull)
+      .withColumn("score",
+        lit(theta) * coalesce(col("sv"), lit(0.0)) + lit(1.0 - theta) * coalesce(col("sn"), lit(0.0)))
     val w = Window.partitionBy("e1").orderBy(desc("score"), asc("e2"))
-    agg.withColumn("rn", row_number().over(w))
+    scored.withColumn("rn", row_number().over(w))
       .where(col("rn") === 1)
       .select("e1", "e2")
   }
 
-  /** Top-K pairs of a sim table, ranked within `partCol` ("e1" or "e2"). */
-  private def topKPairs(sims: DataFrame, simCol: String, partCol: String, K: Int): DataFrame = {
-    val other = if (partCol == "e1") "e2" else "e1"
-    val w = Window.partitionBy(partCol).orderBy(desc(simCol), asc(other))
-    sims.withColumn("rn", row_number().over(w))
-      .where(col("rn") <= K)
-      .select("e1", "e2")
-  }
+  /** H4 on the similarity tables: [[h4OnGraph]] over their [[graph]]. */
+  def h4(candidates: DataFrame,
+         valueSims: DataFrame,
+         neighborSims: DataFrame,
+         K: Int): DataFrame =
+    h4OnGraph(candidates, graph(valueSims, neighborSims, K))
 
   /** H4 — reciprocity heuristic.
     *
     * A candidate match (ei, ej) survives only if ej is among ei's top-K value
     * OR neighbor candidates, AND ei is among ej's top-K value or neighbor
-    * candidates. Lists are computed from the full sim tables: reciprocity is
-    * a verification of the matches produced by H1–H3.
+    * candidates: the graph's `reciprocal` flag, computed from the full sim
+    * tables, since reciprocity is a verification of the matches produced by
+    * H1–H3.
     */
-  def h4(candidates: DataFrame,
-         valueSims: DataFrame,
-         neighborSims: DataFrame,
-         K: Int): DataFrame = {
-    val ns = neighborSims.where(col("nsim") > 0)
-    val from1 = topKPairs(valueSims, "vsim", "e1", K)
-      .union(topKPairs(ns, "nsim", "e1", K)).distinct()
-    val from2 = topKPairs(valueSims, "vsim", "e2", K)
-      .union(topKPairs(ns, "nsim", "e2", K)).distinct()
-    candidates
-      .join(from1, Seq("e1", "e2"), "left_semi")
-      .join(from2, Seq("e1", "e2"), "left_semi")
-  }
+  def h4OnGraph(candidates: DataFrame, graph: DataFrame): DataFrame =
+    candidates.join(graph.where(col("reciprocal")).select("e1", "e2"), Seq("e1", "e2"), "left_semi")
 }

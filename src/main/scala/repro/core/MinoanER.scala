@@ -22,7 +22,14 @@ final case class MinoanERResult(
     tokenBlocksAll: DataFrame,   // pre-purging (token, n1, n2, comparisons)
     tokenBlocks: DataFrame,      // post-purging
     valueSims: DataFrame,        // (e1, e2, vsim)
-    neighborSims: DataFrame)     // (e1, e2, nsim)
+    neighborSims: DataFrame) {   // (e1, e2, nsim)
+
+  /** Releases the frames `resolve` left cached. They stay usable, but are
+    * recomputed if read again.
+    */
+  def unpersist(): Unit =
+    Seq(tokenBlocksAll, tokenBlocks, valueSims, neighborSims, matches).foreach(_.unpersist())
+}
 
 /** The MinoanER non-iterative matching process.
   *
@@ -32,6 +39,29 @@ final case class MinoanERResult(
   * statistics alone, with no schema alignment and no iteration.
   */
 object MinoanER {
+
+  private[core] val CoalesceCacheConf = "spark.sql.optimizer.canChangeCachedPlanOutputPartitioning"
+
+  /** Runs `body` with [[CoalesceCacheConf]] set to true, then restores the
+    * caller's value, or unsets it again if it was unset.
+    */
+  private[core] def coalescingCaches[A](spark: SparkSession)(body: => A): A = {
+    val before = spark.conf.getAll.get(CoalesceCacheConf)
+    spark.conf.set(CoalesceCacheConf, "true")
+    try body
+    finally before match {
+      case Some(v) => spark.conf.set(CoalesceCacheConf, v)
+      case None    => spark.conf.unset(CoalesceCacheConf)
+    }
+  }
+
+  /** Caches `df` so that adaptive execution may coalesce it to the few
+    * partitions its data needs. Without the conf, a cached frame keeps all
+    * `spark.sql.shuffle.partitions` partitions, and every scan of it launches
+    * that many tasks. `cache()` plans the frame with the conf it sees, so the
+    * setting does not leak into later caches.
+    */
+  private def cache(df: DataFrame): DataFrame = coalescingCaches(df.sparkSession)(df.cache())
 
   def resolve(spark: SparkSession,
               kb1: DataFrame,
@@ -48,35 +78,42 @@ object MinoanER {
     val names1 = NameBlocking.names(kb1, nameAttrs1)
     val names2 = NameBlocking.names(kb2, nameAttrs2)
     val bn     = NameBlocking.blocks(names1, names2)
-    val m1 = NameBlocking.h1Matches(names1, names2)
-      .withColumn("heuristic", lit("H1"))
+    val m1 = cache(NameBlocking.h1Matches(names1, names2)
+      .withColumn("heuristic", lit("H1")))
 
     // B_T, purging, valueSim.
-    val tok1     = Tokenizer.entityTokens(kb1).cache()
-    val tok2     = Tokenizer.entityTokens(kb2).cache()
-    val btAll    = TokenBlocking.blocks(tok1, tok2).cache()
-    val btKept   = TokenBlocking.purge(btAll, params.purgeSmooth).cache()
+    val tok1     = cache(Tokenizer.entityTokens(kb1))
+    val tok2     = cache(Tokenizer.entityTokens(kb2))
+    val btAll    = cache(TokenBlocking.blocks(tok1, tok2))
+    val btKept   = cache(TokenBlocking.purge(btAll, params.purgeSmooth))
     val weights  = ValueSim.tokenWeights(btKept)
-    val vs       = ValueSim.pairSims(tok1, tok2, weights).cache()
+    val vs       = cache(ValueSim.pairSims(tok1, tok2, weights))
 
     // Neighbor similarity over the top-N relations.
     val nbrs1 = NeighborSim.topNeighbors(kb1, topRels1)
     val nbrs2 = NeighborSim.topNeighbors(kb2, topRels2)
-    val ns    = NeighborSim.pairSims(nbrs1, nbrs2, vs).cache()
+    val ns    = cache(NeighborSim.pairSims(nbrs1, nbrs2, vs))
+
+    // The candidate graph H2-H4 read.
+    val graph = cache(Heuristics.graph(vs, ns, params.K))
 
     // H2 on entities unmatched by H1.
-    val m2 = Heuristics.h2(vs, m1.select("e1"), m1.select("e2"))
-      .withColumn("heuristic", lit("H2"))
+    val m2 = cache(Heuristics.h2(graph, m1.select("e1"), m1.select("e2"))
+      .withColumn("heuristic", lit("H2")))
 
     // H3 on entities unmatched by H1 and H2.
     val matched1 = m1.select("e1").union(m2.select("e1"))
     val matched2 = m1.select("e2").union(m2.select("e2"))
-    val m3 = Heuristics.h3(vs, ns, matched1, matched2, params.K, params.theta)
+    val m3 = Heuristics.h3OnGraph(graph, matched1, matched2, params.K, params.theta)
       .withColumn("heuristic", lit("H3"))
 
     // H4 verification of the disjunction.
-    val all     = m1.unionByName(m2).unionByName(m3)
-    val matches = Heuristics.h4(all, vs, ns, params.K)
+    val matches = cache(Heuristics.h4OnGraph(m1.unionByName(m2).unionByName(m3), graph))
+
+    // A cache whose buffers are loaded no longer reads the frames it was
+    // computed from, so those can be released once `matches` is.
+    matches.count()
+    Seq(graph, m1, m2, tok1, tok2).foreach(_.unpersist(blocking = true))
 
     MinoanERResult(matches, nameAttrs1, nameAttrs2, topRels1, topRels2,
                    bn, btAll, btKept, vs, ns)

@@ -71,6 +71,7 @@ object Tables {
     val n1 = KB.numEntities(pair.kb1).toDouble
     val n2 = KB.numEntities(pair.kb2).toDouble
     val blocking = Evaluation.blockingPRF(candidatePairs, pair.groundTruth, bnC + btC)
+    res.unpersist()
     Table2Row(cfg.name, bnN, btN, bnC, btC, n1 * n2, blocking)
   }
 
@@ -97,6 +98,7 @@ object Tables {
     val mPrf = Evaluation.evaluateOnGtE1(res.matches, pair.groundTruth)
     val perH = res.matches.groupBy("heuristic").count().collect()
       .map(r => r.getString(0) -> r.getLong(1)).toMap
+    res.unpersist()
 
     val (bslBest, _) = BSL.sweep(spark, pair.kb1, pair.kb2, pair.groundTruth, ns = bslNs)
 

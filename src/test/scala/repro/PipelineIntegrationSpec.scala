@@ -1,6 +1,6 @@
 package repro
 
-import repro.core.{Evaluation, MinoanER}
+import repro.core.{Evaluation, MinoanER, MinoanERResult}
 import repro.kb.{Datasets, KBGen}
 
 /** End-to-end MinoanER over every dataset preset at unit-test scale.
@@ -18,9 +18,14 @@ class PipelineIntegrationSpec extends SparkSpec {
     "BBCmusic-DBpedia" -> 0.50,
     "YAGO-IMDb" -> 0.30)
 
+  private val Partitions = "spark.sql.shuffle.partitions"
+
+  private def matchSet(r: MinoanERResult): Set[(Long, Long, String)] =
+    r.matches.collect().map(m => (m.getLong(0), m.getLong(1), m.getString(2))).toSet
+
   for (cfg <- Datasets.all) {
     lazy val pair = KBGen.generate(spark, Datasets.testScale(cfg))
-    lazy val res  = MinoanER.resolve(spark, pair.kb1, pair.kb2)
+    lazy val res  = withConf(Partitions, Some("64"))(MinoanER.resolve(spark, pair.kb1, pair.kb2))
     lazy val prf  = Evaluation.evaluateOnGtE1(res.matches, pair.groundTruth)
 
     test(s"${cfg.name} @ test scale: F1 above its floor") {
@@ -41,5 +46,14 @@ class PipelineIntegrationSpec extends SparkSpec {
         .collect().map(_.getString(0)).toSet
       assert(tags.subsetOf(Set("H1", "H2", "H3")), tags)
     }
+
+    // Cached frames are partitioned as the data needs, so the match set
+    // must not depend on how many shuffle partitions there are.
+    if (cfg == Datasets.rexaDblp || cfg == Datasets.yagoImdb)
+      test(s"${cfg.name} @ test scale: the same matches with 1 and 64 shuffle partitions") {
+        val one = withConf(Partitions, Some("1"))(MinoanER.resolve(spark, pair.kb1, pair.kb2))
+        assert(matchSet(one) == matchSet(res))
+        one.unpersist()
+      }
   }
 }

@@ -16,6 +16,19 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
 
   override def afterAll(): Unit = { super.afterAll() }
+
+  /** The session's own setting of `key`, None when it is unset. */
+  def setting(key: String): Option[String] = spark.conf.getAll.get(key)
+
+  /** Runs `body` with `key` set to `value` (unset for None), then puts back
+    * the session's previous setting.
+    */
+  def withConf[A](key: String, value: Option[String])(body: => A): A = {
+    def put(v: Option[String]): Unit = v.fold(spark.conf.unset(key))(spark.conf.set(key, _))
+    val before = setting(key)
+    put(value)
+    try body finally put(before)
+  }
 }
 
 object SparkSpec {

@@ -118,4 +118,34 @@ class MinoanERSpec extends SparkSpec {
     val names = res.nameBlocks.select("name").as[String].collect().toSet
     assert(names.contains("zeus king"))
   }
+
+  private val coalesceConf = MinoanER.CoalesceCacheConf
+
+  for (caller <- Seq(None, Some("true"), Some("false")))
+    test(s"the cache helper restores the caller's ${caller.getOrElse("unset")} conf") {
+      withConf(coalesceConf, caller) {
+        assert(MinoanER.coalescingCaches(spark)(setting(coalesceConf)) == Some("true"))
+        assert(setting(coalesceConf) == caller)
+      }
+    }
+
+  test("the cache helper restores the caller's conf when its body throws") {
+    withConf(coalesceConf, None) {
+      intercept[IllegalStateException](MinoanER.coalescingCaches(spark)(throw new IllegalStateException))
+      assert(setting(coalesceConf).isEmpty)
+    }
+  }
+
+  test("resolve leaves only coalesced caches and the session conf as it was") {
+    withConf("spark.sql.shuffle.partitions", Some("64")) {
+      spark.catalog.clearCache()
+      val before = spark.conf.getAll
+      val r = MinoanER.resolve(spark, kb1, kb2, MinoanERParams(purgeSmooth = 100.0))
+      assert(spark.conf.getAll == before)
+      val cached = spark.sparkContext.getRDDStorageInfo
+      assert(cached.nonEmpty)
+      assert(cached.forall(_.numPartitions < 64), cached.map(i => s"${i.name}: ${i.numPartitions}").mkString("; "))
+      r.unpersist()
+    }
+  }
 }
