@@ -16,14 +16,7 @@ class Table2Bench extends SparkSpec {
   private lazy val rows = Datasets.all.map(c => Tables.table2Row(spark, c))
 
   test("print Table II") {
-    val sb = new StringBuilder("TABLE II — BLOCK STATISTICS\n")
-    for (r <- rows) {
-      sb ++= f"${r.name}%-18s |BN|=${r.bnBlocks}%-7d |BT|=${r.btBlocks}%-7d " +
-             f"||BN||=${r.bnComparisons}%.3e ||BT||=${r.btComparisons}%.3e " +
-             f"|E1||E2|=${r.cartesian}%.3e P=${r.blocking.precision * 100}%.4f%% " +
-             f"R=${r.blocking.recall * 100}%.2f%% F1=${r.blocking.f1 * 100}%.4f%%\n"
-    }
-    println(sb.result())
+    println(Tables.table2(rows))
   }
 
   test("token-block comparisons exceed name-block comparisons (paper: >= 1 order)") {

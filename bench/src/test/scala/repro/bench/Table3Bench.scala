@@ -20,15 +20,7 @@ class Table3Bench extends SparkSpec {
     Datasets.all.map(c => c.name -> Tables.table3Row(spark, c)).toMap
 
   test("print Table III") {
-    val sb = new StringBuilder("TABLE III — MATCHING QUALITY (P/R/F1 %)\n")
-    for (c <- Datasets.all; r = rows(c.name)) {
-      def fmt(p: repro.core.PRF) = f"${p.precision * 100}%6.2f ${p.recall * 100}%6.2f ${p.f1 * 100}%6.2f"
-      sb ++= f"${r.name}%-18s MinoanER  ${fmt(r.minoaner)}   ${r.perHeuristic}\n"
-      sb ++= f"${r.name}%-18s BSL       ${fmt(r.bsl.prf)}   ${r.bsl.cfg}\n"
-      sb ++= f"${r.name}%-18s SigmaLite ${fmt(r.sigmaLite)}\n"
-      sb ++= f"${r.name}%-18s ParisLite ${fmt(r.parisLite)}\n"
-    }
-    println(sb.result())
+    println(Tables.table3(Datasets.all.map(c => rows(c.name))))
   }
 
   test("Restaurant: MinoanER and BSL are both near-perfect (paper: 100/100)") {

@@ -25,62 +25,54 @@ object BSL {
 
   val Thresholds: Seq[Double] = (0 until 20).map(_ * 0.05)
 
-  /** Candidate pairs = co-occurrence in B_N ∪ B_T (purged token blocks). */
-  def candidates(kb1: DataFrame, kb2: DataFrame,
-                 params: MinoanERParams = MinoanERParams()): DataFrame = {
-    val nameAttrs1 = AttributeStats.topKNameAttributes(kb1, params.k)
-    val nameAttrs2 = AttributeStats.topKNameAttributes(kb2, params.k)
-    val names1 = NameBlocking.names(kb1, nameAttrs1)
-    val names2 = NameBlocking.names(kb2, nameAttrs2)
-    val tok1 = Tokenizer.entityTokens(kb1)
-    val tok2 = Tokenizer.entityTokens(kb2)
-    val kept = TokenBlocking.purge(TokenBlocking.blocks(tok1, tok2), params.purgeSmooth)
-    NameBlocking.candidatePairs(names1, names2)
-      .union(TokenBlocking.candidatePairs(tok1, tok2, kept))
-      .distinct()
-  }
+  /** Candidate pairs = co-occurrence in B_N ∪ B_T (purged token blocks),
+    * built uncached from MinoanER's front end with its default parameters.
+    */
+  def candidates(kb1: DataFrame, kb2: DataFrame): DataFrame =
+    new Blocking(kb1, kb2, MinoanERParams()).candidatePairs
 
-  /** Full sweep; returns (best outcome, all outcomes).
+  /** Full sweep over every measure; returns (best outcome, all outcomes).
     *
     * One greedy UMC pass per (n, weighting, measure) is threshold-sweepable
     * (see UniqueMappingClustering), so the 420-config grid costs 24 passes.
+    * Every frame the sweep caches is released before it returns.
     */
   def sweep(spark: SparkSession,
             kb1: DataFrame, kb2: DataFrame, gt: DataFrame,
             ns: Seq[Int] = Seq(1, 2, 3),
             weightings: Seq[String] = Weighting.all,
-            measures: Seq[String] = BslSimilarities.all,
-            thresholds: Seq[Double] = Thresholds,
-            dfCap: Long = 1000): (BslOutcome, Seq[BslOutcome]) = {
+            thresholds: Seq[Double] = Thresholds): (BslOutcome, Seq[BslOutcome]) = {
 
     val cands = candidates(kb1, kb2).cache()
     val gtSet   = gt.select("e1", "e2").collect().map(r => (r.getLong(0), r.getLong(1))).toSet
     val gtE1    = gtSet.map(_._1)
     val nActual = gtSet.size
 
-    val outcomes = for {
-      n <- ns
-      g1 = Ngrams.entityGrams(kb1, n).cache()
-      g2 = Ngrams.entityGrams(kb2, n).cache()
-      scheme <- weightings
-      (v1, v2) = Weighting.weighted(g1, g2, scheme)
-      simRows = BslSimilarities.pairSims(v1, v2, cands, dfCap).collect()
-      measure <- measures
-      mIdx = 2 + BslSimilarities.all.indexOf(measure)
-      pairs = simRows.iterator.map { r =>
-        val s = r.getDouble(mIdx)
-        (r.getLong(0), r.getLong(1), if (s.isNaN) 0.0 else s)
-      }.toSeq
-      accepted = UniqueMappingClustering.cluster(pairs)
-      t <- thresholds
-    } yield {
-      // Paper-style evaluation: only KB1 entities present in the ground truth.
-      val pred = accepted.iterator.filter(p => p._3 >= t && gtE1.contains(p._1)).toSeq
-      val tp = pred.count(p => gtSet.contains((p._1, p._2)))
-      BslOutcome(BslConfig(n, scheme, measure, t), PRF(tp, pred.size, nActual))
+    val outcomes = ns.flatMap { n =>
+      val g1 = Ngrams.entityGrams(kb1, n).cache()
+      val g2 = Ngrams.entityGrams(kb2, n).cache()
+      val out = for {
+        scheme <- weightings
+        (v1, v2) = Weighting.weighted(g1, g2, scheme)
+        simRows = BslSimilarities.pairSims(v1, v2, cands).collect()
+        (measure, i) <- BslSimilarities.all.zipWithIndex
+        pairs = simRows.iterator.map { r =>
+          val s = r.getDouble(2 + i)
+          (r.getLong(0), r.getLong(1), if (s.isNaN) 0.0 else s)
+        }.toSeq
+        accepted = UniqueMappingClustering.cluster(pairs)
+        t <- thresholds
+      } yield {
+        // Paper-style evaluation: only KB1 entities present in the ground truth.
+        val pred = accepted.iterator.filter(p => p._3 >= t && gtE1.contains(p._1)).toSeq
+        val tp = pred.count(p => gtSet.contains((p._1, p._2)))
+        BslOutcome(BslConfig(n, scheme, measure, t), PRF(tp, pred.size, nActual))
+      }
+      Seq(g1, g2).foreach(_.unpersist(blocking = true))
+      out
     }
 
-    cands.unpersist()
+    cands.unpersist(blocking = true)
     val best = outcomes.maxBy(o => (o.prf.f1, -o.cfg.threshold))
     (best, outcomes)
   }

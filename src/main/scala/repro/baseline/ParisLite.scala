@@ -85,12 +85,11 @@ object ParisLite {
   }
 
   /** Convenience wrapper on KB DataFrames. */
-  def resolve(kb1: DataFrame, kb2: DataFrame,
-              iterations: Int = 2, threshold: Double = 0.2): Seq[(Long, Long)] = {
+  def resolve(kb1: DataFrame, kb2: DataFrame): Seq[(Long, Long)] = {
     def lits(kb: DataFrame) = KB.literals(kb).collect()
       .map(r => (r.getLong(0), r.getString(1), r.getString(2))).toSeq
     def rels(kb: DataFrame) = KB.relations(kb).collect()
       .map(r => (r.getLong(0), r.getString(1), r.getLong(3))).toSeq
-    run(lits(kb1), lits(kb2), rels(kb1), rels(kb2), iterations, threshold)
+    run(lits(kb1), lits(kb2), rels(kb1), rels(kb2))
   }
 }

@@ -92,28 +92,20 @@ object SigmaLite {
     (matched1.toSeq.map { case (a, b) => (a, b) }).sortBy(identity)
   }
 
-  /** Convenience wrapper: build inputs from KB DataFrames and run. */
-  def resolve(kb1: DataFrame, kb2: DataFrame,
-              params: MinoanERParams = MinoanERParams(),
-              alpha: Double = 0.4, threshold: Double = 0.3): Seq[(Long, Long)] = {
-    val tok1 = Tokenizer.entityTokens(kb1)
-    val tok2 = Tokenizer.entityTokens(kb2)
-    val kept = TokenBlocking.purge(TokenBlocking.blocks(tok1, tok2), params.purgeSmooth)
-    val vs = ValueSim.pairSims(tok1, tok2, ValueSim.tokenWeights(kept))
-      .collect().map(r => (r.getLong(0), r.getLong(1), r.getDouble(2))).toSeq
-
-    val nameAttrs1 = AttributeStats.topKNameAttributes(kb1, params.k)
-    val nameAttrs2 = AttributeStats.topKNameAttributes(kb2, params.k)
-    val seeds = NameBlocking.h1Matches(
-        NameBlocking.names(kb1, nameAttrs1), NameBlocking.names(kb2, nameAttrs2))
+  /** Runs on the evidence `MinoanER.resolve` computed for the same KB pair:
+    * its value similarities, its name blocks for the H1 seeds and the
+    * neighbors over its top relations. Reads `res.valueSims`, so call it
+    * before `res.unpersist()`.
+    */
+  def resolve(kb1: DataFrame, kb2: DataFrame, res: MinoanERResult): Seq[(Long, Long)] = {
+    val vs = res.valueSims.collect().map(r => (r.getLong(0), r.getLong(1), r.getDouble(2))).toSeq
+    val seeds = NameBlocking.h1Matches(res.blocking.names1, res.blocking.names2)
       .collect().map(r => (r.getLong(0), r.getLong(1))).toSeq
 
     def nbrMap(kb: DataFrame, rels: Seq[String]): Map[Long, Seq[Long]] =
       NeighborSim.topNeighbors(kb, rels).collect()
         .groupBy(_.getLong(0)).map { case (k, rows) => k -> rows.map(_.getLong(1)).toSeq }
 
-    val nb1 = nbrMap(kb1, AttributeStats.topNRelations(kb1, params.N))
-    val nb2 = nbrMap(kb2, AttributeStats.topNRelations(kb2, params.N))
-    run(vs, seeds, nb1, nb2, alpha, threshold)
+    run(vs, seeds, nbrMap(kb1, res.topRels1), nbrMap(kb2, res.topRels2))
   }
 }

@@ -14,21 +14,18 @@ final case class MinoanERParams(
 /** Everything the pipeline produces, incl. intermediates for Table II. */
 final case class MinoanERResult(
     matches: DataFrame,          // (e1, e2, heuristic)
-    nameAttrs1: Seq[String],
-    nameAttrs2: Seq[String],
+    blocking: Blocking,          // names, B_N, tokens, B_T before and after purging
     topRels1: Seq[String],
     topRels2: Seq[String],
-    nameBlocks: DataFrame,       // (name, n1, n2, comparisons)
-    tokenBlocksAll: DataFrame,   // pre-purging (token, n1, n2, comparisons)
-    tokenBlocks: DataFrame,      // post-purging
     valueSims: DataFrame,        // (e1, e2, vsim)
     neighborSims: DataFrame) {   // (e1, e2, nsim)
 
-  /** Releases the frames `resolve` left cached. They stay usable, but are
-    * recomputed if read again.
+  /** Releases the frames `resolve` left cached and waits until they are
+    * gone. They stay usable, but are recomputed if read again.
     */
   def unpersist(): Unit =
-    Seq(tokenBlocksAll, tokenBlocks, valueSims, neighborSims, matches).foreach(_.unpersist())
+    Seq(blocking.tokenBlocksAll, blocking.tokenBlocks, valueSims, neighborSims, matches)
+      .foreach(_.unpersist(blocking = true))
 }
 
 /** The MinoanER non-iterative matching process.
@@ -68,26 +65,23 @@ object MinoanER {
               kb2: DataFrame,
               params: MinoanERParams = MinoanERParams()): MinoanERResult = {
 
-    // Statistics: distinctive name attributes and important relations.
-    val nameAttrs1 = AttributeStats.topKNameAttributes(kb1, params.k)
-    val nameAttrs2 = AttributeStats.topKNameAttributes(kb2, params.k)
-    val topRels1   = AttributeStats.topNRelations(kb1, params.N)
-    val topRels2   = AttributeStats.topNRelations(kb2, params.N)
+    val blocking = new Blocking(kb1, kb2, params)
+
+    // Statistics: important relations (the name attributes are `blocking`'s).
+    val topRels1 = AttributeStats.topNRelations(kb1, params.N)
+    val topRels2 = AttributeStats.topNRelations(kb2, params.N)
 
     // B_N and H1.
-    val names1 = NameBlocking.names(kb1, nameAttrs1)
-    val names2 = NameBlocking.names(kb2, nameAttrs2)
-    val bn     = NameBlocking.blocks(names1, names2)
-    val m1 = cache(NameBlocking.h1Matches(names1, names2)
+    val m1 = cache(NameBlocking.h1Matches(blocking.names1, blocking.names2)
       .withColumn("heuristic", lit("H1")))
 
-    // B_T, purging, valueSim.
-    val tok1     = cache(Tokenizer.entityTokens(kb1))
-    val tok2     = cache(Tokenizer.entityTokens(kb2))
-    val btAll    = cache(TokenBlocking.blocks(tok1, tok2))
-    val btKept   = cache(TokenBlocking.purge(btAll, params.purgeSmooth))
-    val weights  = ValueSim.tokenWeights(btKept)
-    val vs       = cache(ValueSim.pairSims(tok1, tok2, weights))
+    // B_T, purging, valueSim. The tokens and B_T are cached in place before
+    // the purge reads them, so its histogram job fills those caches.
+    val tok1    = cache(blocking.tokens1)
+    val tok2    = cache(blocking.tokens2)
+    cache(blocking.tokenBlocksAll)
+    val weights = ValueSim.tokenWeights(cache(blocking.tokenBlocks))
+    val vs      = cache(ValueSim.pairSims(tok1, tok2, weights))
 
     // Neighbor similarity over the top-N relations.
     val nbrs1 = NeighborSim.topNeighbors(kb1, topRels1)
@@ -115,7 +109,6 @@ object MinoanER {
     matches.count()
     Seq(graph, m1, m2, tok1, tok2).foreach(_.unpersist(blocking = true))
 
-    MinoanERResult(matches, nameAttrs1, nameAttrs2, topRels1, topRels2,
-                   bn, btAll, btKept, vs, ns)
+    MinoanERResult(matches, blocking, topRels1, topRels2, vs, ns)
   }
 }

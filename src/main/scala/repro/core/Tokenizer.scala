@@ -28,13 +28,6 @@ object Tokenizer {
       .select(col(KB.Eid), explode(tokenizeUdf(col(KB.Lit))).as("token"))
       .distinct()
 
-  /** Bag-semantics (eid, token, tf) — used by the BSL baseline's TF weights. */
-  def entityTokenBag(triples: DataFrame): DataFrame =
-    KB.literals(triples)
-      .select(col(KB.Eid), explode(tokenizeUdf(col(KB.Lit))).as("token"))
-      .groupBy(KB.Eid, "token")
-      .agg(count(lit(1)).as("tf"))
-
   /** Average number of (bag) tokens per entity — Table I's "av. tokens". */
   def avgTokensPerEntity(triples: DataFrame): Double = {
     val n = KB.numEntities(triples)

@@ -14,10 +14,6 @@ import org.apache.spark.sql.functions._
   */
 object ValueSim {
 
-  /** (token, ef): Entity Frequency per token for one KB's token set. */
-  def entityFrequency(tokens: DataFrame): DataFrame =
-    tokens.groupBy("token").agg(count(lit(1)).as("ef"))
-
   /** (token, weight) for the kept (purged) blocks: 1/log2(EF1·EF2 + 1). */
   def tokenWeights(keptBlocks: DataFrame): DataFrame =
     keptBlocks.select(

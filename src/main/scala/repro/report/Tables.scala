@@ -7,9 +7,10 @@ import repro.kb._
 
 /** Builders for the paper's three evaluation tables.
   *
-  * Each returns a formatted multi-line string (one per paper table) so the
-  * same code backs the spark-submit jobs in `jobs/` and the bench suites in
-  * `bench/`. Paper-reported numbers for comparison live in EXPERIMENTS.md.
+  * `table2Row`/`table3Row` compute one dataset's row; `table1`, `table2` and
+  * `table3` format a whole table as a multi-line string. The same code backs
+  * `jobs/TablesJob` and the bench suites in `bench/`. Paper-reported numbers
+  * for comparison live in EXPERIMENTS.md.
   */
 object Tables {
 
@@ -52,36 +53,25 @@ object Tables {
 
   // --------------------------------------------------------------- Table II
 
-  def table2Row(spark: SparkSession, cfg: KBConfig,
-                params: MinoanERParams = MinoanERParams()): Table2Row = {
+  def table2Row(spark: SparkSession, cfg: KBConfig): Table2Row = {
     val pair = KBGen.generate(spark, cfg)
-    val res  = MinoanER.resolve(spark, pair.kb1, pair.kb2, params)
+    val res  = MinoanER.resolve(spark, pair.kb1, pair.kb2)
 
-    val names1 = NameBlocking.names(pair.kb1, res.nameAttrs1)
-    val names2 = NameBlocking.names(pair.kb2, res.nameAttrs2)
-    val (bnN, bnC) = TokenBlocking.stats(res.nameBlocks)
-    val (btN, btC) = TokenBlocking.stats(res.tokenBlocks)
-
-    val tok1 = Tokenizer.entityTokens(pair.kb1)
-    val tok2 = Tokenizer.entityTokens(pair.kb2)
-    val candidatePairs = NameBlocking.candidatePairs(names1, names2)
-      .union(TokenBlocking.candidatePairs(tok1, tok2, res.tokenBlocks))
-      .distinct()
-
+    val (bnN, bnC) = TokenBlocking.stats(res.blocking.nameBlocks)
+    val (btN, btC) = TokenBlocking.stats(res.blocking.tokenBlocks)
     val n1 = KB.numEntities(pair.kb1).toDouble
     val n2 = KB.numEntities(pair.kb2).toDouble
-    val blocking = Evaluation.blockingPRF(candidatePairs, pair.groundTruth, bnC + btC)
+    val blockingPrf = Evaluation.blockingPRF(res.blocking.candidatePairs, pair.groundTruth, bnC + btC)
     res.unpersist()
-    Table2Row(cfg.name, bnN, btN, bnC, btC, n1 * n2, blocking)
+    Table2Row(cfg.name, bnN, btN, bnC, btC, n1 * n2, blockingPrf)
   }
 
-  def table2(spark: SparkSession, cfgs: Seq[KBConfig]): String = {
+  def table2(rows: Seq[Table2Row]): String = {
     val sb = new StringBuilder
     sb ++= "TABLE II — BLOCK STATISTICS\n"
     sb ++= f"${"dataset"}%-18s ${"|BN|"}%8s ${"|BT|"}%8s ${"||BN||"}%12s ${"||BT||"}%12s " +
            f"${"|E1|*|E2|"}%12s ${"Prec"}%10s ${"Recall"}%8s ${"F1"}%10s\n"
-    for (cfg <- cfgs) {
-      val r = table2Row(spark, cfg)
+    for (r <- rows) {
       sb ++= f"${r.name}%-18s ${r.bnBlocks}%8d ${r.btBlocks}%8d ${r.bnComparisons}%12.3e ${r.btComparisons}%12.3e " +
              f"${r.cartesian}%12.3e ${r.blocking.precision * 100}%10.4f ${r.blocking.recall * 100}%8.2f ${r.blocking.f1 * 100}%10.4f\n"
     }
@@ -90,34 +80,30 @@ object Tables {
 
   // -------------------------------------------------------------- Table III
 
-  def table3Row(spark: SparkSession, cfg: KBConfig,
-                params: MinoanERParams = MinoanERParams(),
-                bslNs: Seq[Int] = Seq(1, 2, 3)): Table3Row = {
+  def table3Row(spark: SparkSession, cfg: KBConfig): Table3Row = {
     val pair = KBGen.generate(spark, cfg)
-    val res  = MinoanER.resolve(spark, pair.kb1, pair.kb2, params)
+    val res  = MinoanER.resolve(spark, pair.kb1, pair.kb2)
     val mPrf = Evaluation.evaluateOnGtE1(res.matches, pair.groundTruth)
     val perH = res.matches.groupBy("heuristic").count().collect()
       .map(r => r.getString(0) -> r.getLong(1)).toMap
-    res.unpersist()
-
-    val (bslBest, _) = BSL.sweep(spark, pair.kb1, pair.kb2, pair.groundTruth, ns = bslNs)
 
     import spark.implicits._
-    val sigma = SigmaLite.resolve(pair.kb1, pair.kb2, params).toDF("e1", "e2")
+    val sigma = SigmaLite.resolve(pair.kb1, pair.kb2, res).toDF("e1", "e2")
     val sPrf  = Evaluation.evaluateOnGtE1(sigma, pair.groundTruth)
+    res.unpersist()
+
+    val (bslBest, _) = BSL.sweep(spark, pair.kb1, pair.kb2, pair.groundTruth)
     val paris = ParisLite.resolve(pair.kb1, pair.kb2).toDF("e1", "e2")
     val pPrf  = Evaluation.evaluateOnGtE1(paris, pair.groundTruth)
 
     Table3Row(cfg.name, mPrf, perH, bslBest, sPrf, pPrf)
   }
 
-  def table3(spark: SparkSession, cfgs: Seq[KBConfig],
-             bslNs: Seq[Int] = Seq(1, 2, 3)): String = {
+  def table3(rows: Seq[Table3Row]): String = {
     val sb = new StringBuilder
     sb ++= "TABLE III — MINOANER VS BASELINES (P / R / F1, %)\n"
     sb ++= f"${"dataset"}%-18s ${"method"}%-12s ${"Prec"}%7s ${"Recall"}%7s ${"F1"}%7s   notes\n"
-    for (cfg <- cfgs) {
-      val r = table3Row(spark, cfg, bslNs = bslNs)
+    for (r <- rows) {
       def line(m: String, p: PRF, notes: String = ""): Unit =
         sb ++= f"${r.name}%-18s $m%-12s ${p.precision * 100}%7.2f ${p.recall * 100}%7.2f ${p.f1 * 100}%7.2f   $notes\n"
       line("MinoanER", r.minoaner,

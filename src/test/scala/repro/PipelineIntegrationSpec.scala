@@ -1,5 +1,6 @@
 package repro
 
+import repro.baseline.{ReferenceSigmaLite, SigmaLite}
 import repro.core.{Evaluation, MinoanER, MinoanERResult}
 import repro.kb.{Datasets, KBGen}
 
@@ -45,6 +46,12 @@ class PipelineIntegrationSpec extends SparkSpec {
       val tags = res.matches.select("heuristic").distinct()
         .collect().map(_.getString(0)).toSet
       assert(tags.subsetOf(Set("H1", "H2", "H3")), tags)
+    }
+
+    test(s"${cfg.name} @ test scale: SigmaLite on resolve's evidence equals the reference") {
+      val reference = withConf(Partitions, Some("64"))(ReferenceSigmaLite.resolve(pair.kb1, pair.kb2))
+      assert(reference.nonEmpty)
+      assert(SigmaLite.resolve(pair.kb1, pair.kb2, res) == reference)
     }
 
     // Cached frames are partitioned as the data needs, so the match set

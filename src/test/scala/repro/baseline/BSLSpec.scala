@@ -46,4 +46,12 @@ class BSLSpec extends SparkSpec {
     val (_, all) = sweep
     assert(all.forall(o => o.cfg.n == 1 && o.cfg.weighting == Weighting.TFIDF))
   }
+
+  test("the sweep releases every frame it caches") {
+    spark.catalog.clearCache()
+    BSL.sweep(spark, pair.kb1, pair.kb2, pair.groundTruth,
+              ns = Seq(1, 2), weightings = Seq(Weighting.TF), thresholds = Seq(0.5))
+    val left = spark.sparkContext.getRDDStorageInfo
+    assert(left.isEmpty, left.map(_.name).mkString("; "))
+  }
 }

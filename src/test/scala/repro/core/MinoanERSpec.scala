@@ -48,8 +48,8 @@ class MinoanERSpec extends SparkSpec {
       .groupBy(_._3).map { case (h, rows) => h -> rows.map(r => (r._1, r._2)).toSet }
 
   test("both literal attributes qualify as name attributes (k=2)") {
-    assert(res.nameAttrs1.toSet == Set("n1", "v1"))
-    assert(res.nameAttrs2.toSet == Set("n2", "v2"))
+    assert(res.blocking.nameAttrs1.toSet == Set("n1", "v1"))
+    assert(res.blocking.nameAttrs2.toSet == Set("n2", "v2"))
   }
 
   test("the single relation is the top relation") {
@@ -111,11 +111,11 @@ class MinoanERSpec extends SparkSpec {
   }
 
   test("token blocks were purged no larger than the originals") {
-    assert(res.tokenBlocks.count() <= res.tokenBlocksAll.count())
+    assert(res.blocking.tokenBlocks.count() <= res.blocking.tokenBlocksAll.count())
   }
 
   test("name blocks exist for the shared name") {
-    val names = res.nameBlocks.select("name").as[String].collect().toSet
+    val names = res.blocking.nameBlocks.select("name").as[String].collect().toSet
     assert(names.contains("zeus king"))
   }
 
@@ -147,5 +147,12 @@ class MinoanERSpec extends SparkSpec {
       assert(cached.forall(_.numPartitions < 64), cached.map(i => s"${i.name}: ${i.numPartitions}").mkString("; "))
       r.unpersist()
     }
+  }
+
+  test("unpersist releases every frame resolve cached") {
+    spark.catalog.clearCache()
+    MinoanER.resolve(spark, kb1, kb2, MinoanERParams(purgeSmooth = 100.0)).unpersist()
+    val left = spark.sparkContext.getRDDStorageInfo
+    assert(left.isEmpty, left.map(_.name).mkString("; "))
   }
 }

@@ -54,12 +54,6 @@ class TokenizerSpec extends SparkSpec {
     assert(t.where(col("eid") === 2).count() == 0)
   }
 
-  test("entityTokenBag keeps term frequencies") {
-    val bag = Tokenizer.entityTokenBag(kb).as[(Long, String, Long)].collect().toSet
-    assert(bag.contains((1L, "x", 3L)))
-    assert(bag.contains((0L, "y", 2L)))
-  }
-
   test("avgTokensPerEntity counts bag tokens over entities") {
     // entity 0: 4 bag tokens, entity 1: 3, entity 2: 0 (relation only) -> 7/3
     assert(math.abs(Tokenizer.avgTokensPerEntity(kb) - 7.0 / 3) < 1e-9)

@@ -10,20 +10,6 @@ class ValueSimSpec extends SparkSpec {
 
   private def log2(x: Double) = math.log(x) / math.log(2)
 
-  test("entityFrequency equals the number of entities per token") {
-    val ef = ValueSim.entityFrequency(toks((0L, "a"), (1L, "a"), (1L, "b")))
-      .as[(String, Long)].collect().toMap
-    assert(ef == Map("a" -> 2L, "b" -> 1L))
-  }
-
-  test("entityFrequency agrees with DuckDB oracle") {
-    val t = toks((0L, "a"), (1L, "a"), (1L, "b"), (2L, "c"))
-    Oracle.assertEquivalent(
-      ValueSim.entityFrequency(t),
-      "SELECT token, count(*) AS ef FROM t GROUP BY token",
-      "t" -> t)
-  }
-
   test("a token unique to both sides weighs exactly 1") {
     val b = TokenBlocking.blocks(toks((0L, "u")), toks((9L, "u")))
     val w = ValueSim.tokenWeights(b).as[(String, Double)].collect().toMap
