@@ -28,6 +28,7 @@ object TablesJob {
       .appName(s"minoaner-table$table")
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .getOrCreate()
+    spark.sparkContext.setLogLevel("WARN")
     val cfgs = Datasets.all.map(_.scaled(sf))
     try println(table match {
       case "1" => Tables.table1(spark, cfgs)

@@ -106,6 +106,6 @@ object SigmaLite {
       NeighborSim.topNeighbors(kb, rels).collect()
         .groupBy(_.getLong(0)).map { case (k, rows) => k -> rows.map(_.getLong(1)).toSeq }
 
-    run(vs, seeds, nbrMap(kb1, res.topRels1), nbrMap(kb2, res.topRels2))
+    run(vs, seeds, nbrMap(kb1, res.blocking.topRels1), nbrMap(kb2, res.blocking.topRels2))
   }
 }

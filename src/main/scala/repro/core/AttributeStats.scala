@@ -3,6 +3,10 @@ package repro.core
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 
+/** The statistics of one literal attribute, or of one relation. */
+final case class PredStats(pred: String, relation: Boolean, support: Double,
+                           discriminability: Double, importance: Double)
+
 /** Predicate-importance statistics.
   *
   * The paper defines the importance of a predicate p in a KB E as the
@@ -16,53 +20,38 @@ import org.apache.spark.sql.functions._
   */
 object AttributeStats {
 
-  private def withImportance(grouped: DataFrame, nEntities: Double): DataFrame = {
-    val s = col("ents") / nEntities
-    // Multi-valued attributes can have more distinct objects than carrying
-    // entities; a ratio above 1 adds no identifying power, so cap at 1.
-    val d = least(lit(1.0), col("vals").cast("double") / col("ents"))
-    grouped
-      .withColumn("support", s)
-      .withColumn("discriminability", d)
-      .withColumn(
-        "importance",
-        when(col("support") + col("discriminability") > 0,
-             lit(2.0) * col("support") * col("discriminability") /
-               (col("support") + col("discriminability"))).otherwise(lit(0.0)))
-      .select(KB.Pred, "support", "discriminability", "importance")
-  }
-
-  /** (pred, support, discriminability, importance) for literal attributes. */
-  def literalAttrStats(triples: DataFrame): DataFrame = {
-    val n = math.max(1L, KB.numEntities(triples)).toDouble
-    val grouped = KB.literals(triples)
-      .groupBy(KB.Pred)
-      .agg(countDistinct(KB.Eid).as("ents"), countDistinct(KB.Lit).as("vals"))
-    withImportance(grouped, n)
-  }
-
-  /** (pred, support, discriminability, importance) for relations. */
-  def relationStats(triples: DataFrame): DataFrame = {
-    val n = math.max(1L, KB.numEntities(triples)).toDouble
-    val grouped = KB.relations(triples)
-      .groupBy(KB.Pred)
-      .agg(countDistinct(KB.Eid).as("ents"), countDistinct(KB.Obj).as("vals"))
-    withImportance(grouped, n)
-  }
-
-  private def topPreds(stats: DataFrame, k: Int): Seq[String] =
-    stats.orderBy(desc("importance"), asc(KB.Pred))
-      .select(KB.Pred)
-      .limit(k)
+  /** Every predicate's statistics from one aggregation, collected once: the
+    * grouping set (relation, pred) counts its entities and distinct objects,
+    * the set () counts |E|. An empty KB has no rows, so no statistics.
+    */
+  def of(triples: DataFrame): Seq[PredStats] = {
+    val (relation, pred) = (col("relation"), col(KB.Pred))
+    val rows = triples.withColumn("relation", col(KB.Obj).isNotNull)
+      .groupingSets(Seq(Seq(relation, pred), Seq()), relation, pred)
+      .agg(countDistinct(KB.Eid), countDistinct(coalesce(col(KB.Lit), col(KB.Obj).cast("string"))),
+           grouping_id())
       .collect()
-      .map(_.getString(0))
-      .toSeq
+    val (total, grouped) = rows.partition(_.getLong(4) != 0L)
+    val n = total.headOption.fold(1L)(r => math.max(1L, r.getLong(2))).toDouble
+    grouped.toSeq.map { r =>
+      val ents = r.getLong(2)
+      val s = ents / n
+      // Multi-valued attributes can have more distinct objects than carrying
+      // entities; a ratio above 1 adds no identifying power, so cap at 1.
+      val d = math.min(1.0, r.getLong(3).toDouble / ents)
+      PredStats(r.getString(1), r.getBoolean(0), s, d, if (s + d > 0) 2.0 * s * d / (s + d) else 0.0)
+    }
+  }
+
+  /** The k most important predicates of one kind, by importance, then name. */
+  def top(stats: Seq[PredStats], relation: Boolean, k: Int): Seq[String] =
+    stats.filter(_.relation == relation)
+      .sortWith((a, b) => a.importance > b.importance || a.importance == b.importance && a.pred < b.pred)
+      .take(k).map(_.pred)
 
   /** The k most distinctive literal attributes — their values act as names. */
-  def topKNameAttributes(triples: DataFrame, k: Int): Seq[String] =
-    topPreds(literalAttrStats(triples), k)
+  def topKNameAttributes(triples: DataFrame, k: Int): Seq[String] = top(of(triples), relation = false, k)
 
   /** The N most important relations — their targets are "best neighbors". */
-  def topNRelations(triples: DataFrame, n: Int): Seq[String] =
-    topPreds(relationStats(triples), n)
+  def topNRelations(triples: DataFrame, n: Int): Seq[String] = top(of(triples), relation = true, n)
 }

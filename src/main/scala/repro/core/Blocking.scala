@@ -2,20 +2,26 @@ package repro.core
 
 import org.apache.spark.sql.DataFrame
 
-/** The schema-agnostic blocking front end of one KB pair: names and the
-  * name blocks B_N, tokens and the token blocks B_T before and after Block
-  * Purging. MinoanER and the BSL baseline read the same block collections,
-  * so both build them here.
+/** The schema-agnostic blocking front end of one KB pair: each KB's
+  * predicate statistics (one pass) with its name attributes and top
+  * relations, names and the name blocks B_N, tokens and the token blocks B_T
+  * before and after Block Purging. MinoanER and the BSL baseline read the
+  * same block collections, so both build them here.
   *
-  * Every member is lazy and nothing is cached. A caller that reads a frame
+  * Every member is lazy and no frame is cached. A caller that reads a frame
   * more than once caches it in place (`Dataset.cache()` returns the same
   * frame) before the members derived from it are first read, as
   * `MinoanER.resolve` does for the tokens and token blocks.
   */
 final class Blocking(kb1: DataFrame, kb2: DataFrame, params: MinoanERParams) {
 
-  lazy val nameAttrs1: Seq[String] = AttributeStats.topKNameAttributes(kb1, params.k)
-  lazy val nameAttrs2: Seq[String] = AttributeStats.topKNameAttributes(kb2, params.k)
+  private lazy val stats1 = AttributeStats.of(kb1)
+  private lazy val stats2 = AttributeStats.of(kb2)
+
+  lazy val nameAttrs1: Seq[String] = AttributeStats.top(stats1, relation = false, params.k)
+  lazy val nameAttrs2: Seq[String] = AttributeStats.top(stats2, relation = false, params.k)
+  lazy val topRels1: Seq[String] = AttributeStats.top(stats1, relation = true, params.N)
+  lazy val topRels2: Seq[String] = AttributeStats.top(stats2, relation = true, params.N)
 
   lazy val names1: DataFrame = NameBlocking.names(kb1, nameAttrs1)  // (eid, name)
   lazy val names2: DataFrame = NameBlocking.names(kb2, nameAttrs2)

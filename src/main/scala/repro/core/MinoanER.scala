@@ -14,9 +14,7 @@ final case class MinoanERParams(
 /** Everything the pipeline produces, incl. intermediates for Table II. */
 final case class MinoanERResult(
     matches: DataFrame,          // (e1, e2, heuristic)
-    blocking: Blocking,          // names, B_N, tokens, B_T before and after purging
-    topRels1: Seq[String],
-    topRels2: Seq[String],
+    blocking: Blocking,          // statistics, names, B_N, tokens, B_T before and after purging
     valueSims: DataFrame,        // (e1, e2, vsim)
     neighborSims: DataFrame) {   // (e1, e2, nsim)
 
@@ -67,10 +65,6 @@ object MinoanER {
 
     val blocking = new Blocking(kb1, kb2, params)
 
-    // Statistics: important relations (the name attributes are `blocking`'s).
-    val topRels1 = AttributeStats.topNRelations(kb1, params.N)
-    val topRels2 = AttributeStats.topNRelations(kb2, params.N)
-
     // B_N and H1.
     val m1 = cache(NameBlocking.h1Matches(blocking.names1, blocking.names2)
       .withColumn("heuristic", lit("H1")))
@@ -84,8 +78,8 @@ object MinoanER {
     val vs      = cache(ValueSim.pairSims(tok1, tok2, weights))
 
     // Neighbor similarity over the top-N relations.
-    val nbrs1 = NeighborSim.topNeighbors(kb1, topRels1)
-    val nbrs2 = NeighborSim.topNeighbors(kb2, topRels2)
+    val nbrs1 = NeighborSim.topNeighbors(kb1, blocking.topRels1)
+    val nbrs2 = NeighborSim.topNeighbors(kb2, blocking.topRels2)
     val ns    = cache(NeighborSim.pairSims(nbrs1, nbrs2, vs))
 
     // The candidate graph H2-H4 read.
@@ -109,6 +103,6 @@ object MinoanER {
     matches.count()
     Seq(graph, m1, m2, tok1, tok2).foreach(_.unpersist(blocking = true))
 
-    MinoanERResult(matches, blocking, topRels1, topRels2, vs, ns)
+    MinoanERResult(matches, blocking, vs, ns)
   }
 }

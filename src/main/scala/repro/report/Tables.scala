@@ -33,7 +33,7 @@ object Tables {
 
   def table1(spark: SparkSession, cfgs: Seq[KBConfig]): String = {
     val sb = new StringBuilder
-    sb ++= "TABLE I — DATASET STATISTICS\n"
+    sb ++= "TABLE I - DATASET STATISTICS\n"
     sb ++= f"${"dataset"}%-18s ${"E1 ents"}%9s ${"E2 ents"}%9s ${"E1 trip"}%9s ${"E2 trip"}%9s " +
            f"${"E1 tok"}%7s ${"E2 tok"}%7s ${"attrs"}%9s ${"rels"}%7s ${"types"}%9s ${"vocab"}%7s ${"matches"}%8s\n"
     for (cfg <- cfgs) {
@@ -68,7 +68,7 @@ object Tables {
 
   def table2(rows: Seq[Table2Row]): String = {
     val sb = new StringBuilder
-    sb ++= "TABLE II — BLOCK STATISTICS\n"
+    sb ++= "TABLE II - BLOCK STATISTICS\n"
     sb ++= f"${"dataset"}%-18s ${"|BN|"}%8s ${"|BT|"}%8s ${"||BN||"}%12s ${"||BT||"}%12s " +
            f"${"|E1|*|E2|"}%12s ${"Prec"}%10s ${"Recall"}%8s ${"F1"}%10s\n"
     for (r <- rows) {
@@ -101,7 +101,7 @@ object Tables {
 
   def table3(rows: Seq[Table3Row]): String = {
     val sb = new StringBuilder
-    sb ++= "TABLE III — MINOANER VS BASELINES (P / R / F1, %)\n"
+    sb ++= "TABLE III - MINOANER VS BASELINES (P / R / F1, %)\n"
     sb ++= f"${"dataset"}%-18s ${"method"}%-12s ${"Prec"}%7s ${"Recall"}%7s ${"F1"}%7s   notes\n"
     for (r <- rows) {
       def line(m: String, p: PRF, notes: String = ""): Unit =

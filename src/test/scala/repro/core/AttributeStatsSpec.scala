@@ -1,9 +1,10 @@
 package repro.core
 
 import repro.{Oracle, SparkSpec}
-import org.apache.spark.sql.functions._
+import repro.kb.{Datasets, KBGen}
 
 class AttributeStatsSpec extends SparkSpec {
+  import spark.implicits._
 
   // 4 entities; attr "name" on all 4 with 4 distinct values;
   // attr "cat" on all 4 with 1 distinct value; attr "rare" on 1 entity.
@@ -22,8 +23,11 @@ class AttributeStatsSpec extends SparkSpec {
     KB.TripleRow(2, "knows", None, Some(2L)),
     KB.TripleRow(0, "likes", None, Some(3L))))
 
-  private def statsMap = AttributeStats.literalAttrStats(kb).collect()
-    .map(r => r.getString(0) -> (r.getDouble(1), r.getDouble(2), r.getDouble(3))).toMap
+  private def statsOf(relation: Boolean): Map[String, (Double, Double, Double)] =
+    AttributeStats.of(kb).filter(_.relation == relation)
+      .map(p => p.pred -> (p.support, p.discriminability, p.importance)).toMap
+
+  private def statsMap = statsOf(relation = false)
 
   test("support of a universal attribute is 1") {
     assert(math.abs(statsMap("name")._1 - 1.0) < 1e-9)
@@ -56,20 +60,18 @@ class AttributeStatsSpec extends SparkSpec {
   }
 
   test("relation stats cover relation predicates only") {
-    val rels = AttributeStats.relationStats(kb).collect().map(_.getString(0)).toSet
+    val rels = statsOf(relation = true).keySet
     assert(rels == Set("knows", "likes"))
   }
 
   test("relation support counts subjects") {
-    val m = AttributeStats.relationStats(kb).collect()
-      .map(r => r.getString(0) -> r.getDouble(1)).toMap
+    val m = statsOf(relation = true).map { case (p, (s, _, _)) => p -> s }
     assert(math.abs(m("knows") - 0.75) < 1e-9)
     assert(math.abs(m("likes") - 0.25) < 1e-9)
   }
 
   test("relation discriminability counts distinct targets") {
-    val m = AttributeStats.relationStats(kb).collect()
-      .map(r => r.getString(0) -> r.getDouble(2)).toMap
+    val m = statsOf(relation = true).map { case (p, (_, d, _)) => p -> d }
     assert(math.abs(m("knows") - 2.0 / 3) < 1e-9)
   }
 
@@ -81,23 +83,51 @@ class AttributeStatsSpec extends SparkSpec {
     assert(AttributeStats.topNRelations(kb, 5).toSet == Set("knows", "likes"))
   }
 
-  test("literal attr raw counts agree with DuckDB oracle") {
-    val df = KB.literals(kb).groupBy("pred")
-      .agg(countDistinct("eid").as("ents"), countDistinct("lit").as("vals"))
-    Oracle.assertEquivalent(
-      df,
-      """SELECT pred, count(DISTINCT eid) AS ents, count(DISTINCT lit) AS vals
-        |FROM triples WHERE lit IS NOT NULL GROUP BY pred""".stripMargin,
-      "triples" -> kb)
+  test("of equal importance, the smaller predicate name ranks first") {
+    // "b" and "a" both have support 1 and discriminability 1.
+    val tied = KB.fromRows(spark, Seq(
+      KB.TripleRow(0, "b", Some("b0"), None),
+      KB.TripleRow(1, "b", Some("b1"), None),
+      KB.TripleRow(0, "a", Some("a0"), None),
+      KB.TripleRow(1, "a", Some("a1"), None),
+      KB.TripleRow(0, "c", Some("c"), None)))
+    assert(AttributeStats.topKNameAttributes(tied, 1) == Seq("a"))
+    val stats = Seq("b", "c", "a").map(PredStats(_, relation = false, 1.0, 1.0, 1.0))
+    assert(AttributeStats.top(stats, relation = false, 3) == Seq("a", "b", "c"))
   }
 
-  test("relation raw counts agree with DuckDB oracle") {
-    val df = KB.relations(kb).groupBy("pred")
-      .agg(countDistinct("eid").as("ents"), countDistinct("obj").as("vals"))
-    Oracle.assertEquivalent(
-      df,
-      """SELECT pred, count(DISTINCT eid) AS ents, count(DISTINCT obj) AS vals
-        |FROM triples WHERE obj IS NOT NULL GROUP BY pred""".stripMargin,
-      "triples" -> kb)
+  test("an empty KB has no statistics and empty top lists") {
+    val empty = KB.fromRows(spark, Seq.empty)
+    assert(AttributeStats.of(empty).isEmpty)
+    assert(AttributeStats.topKNameAttributes(empty, 2) == Seq())
+    assert(AttributeStats.topNRelations(empty, 3) == Seq())
+  }
+
+  test("a KB without relations has no top relations") {
+    val literalsOnly = KB.literals(kb)
+    assert(AttributeStats.topNRelations(literalsOnly, 3) == Seq())
+    assert(AttributeStats.topKNameAttributes(literalsOnly, 1) == Seq("name"))
+  }
+
+  test("statistics agree with DuckDB on this KB and both Rexa-DBLP KBs") {
+    val rexa = KBGen.generate(spark, Datasets.testScale(Datasets.rexaDblp))
+    for (triples <- Seq(kb, rexa.kb1, rexa.kb2))
+      Oracle.assertEquivalent(
+        AttributeStats.of(triples).toDF(),
+        // The oracle loads every column as VARCHAR.
+        """WITH n AS (SELECT greatest(1, count(DISTINCT CAST(eid AS BIGINT))) AS n FROM triples),
+          |     g AS (SELECT pred, obj IS NOT NULL AS relation,
+          |                  CAST(count(DISTINCT CAST(eid AS BIGINT)) AS DOUBLE) AS ents,
+          |                  CAST(count(DISTINCT coalesce(lit, obj)) AS DOUBLE) AS vals
+          |           FROM triples GROUP BY pred, obj IS NOT NULL),
+          |     s AS (SELECT pred, relation, ents / n AS support,
+          |                  least(CAST(1 AS DOUBLE), vals / ents) AS discriminability
+          |           FROM g, n)
+          |SELECT pred, relation, support, discriminability,
+          |       CASE WHEN support + discriminability > 0
+          |            THEN 2 * support * discriminability / (support + discriminability)
+          |            ELSE 0 END AS importance
+          |FROM s""".stripMargin,
+        "triples" -> triples)
   }
 }

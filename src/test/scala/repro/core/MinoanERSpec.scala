@@ -53,8 +53,8 @@ class MinoanERSpec extends SparkSpec {
   }
 
   test("the single relation is the top relation") {
-    assert(res.topRels1 == Seq("r1"))
-    assert(res.topRels2 == Seq("r2"))
+    assert(res.blocking.topRels1 == Seq("r1"))
+    assert(res.blocking.topRels2 == Seq("r2"))
   }
 
   test("H1 finds exactly the shared-unique-name pair") {
