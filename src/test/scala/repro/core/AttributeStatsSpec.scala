@@ -109,17 +109,20 @@ class AttributeStatsSpec extends SparkSpec {
     assert(AttributeStats.topKNameAttributes(literalsOnly, 1) == Seq("name"))
   }
 
-  test("statistics agree with DuckDB on this KB and both Rexa-DBLP KBs") {
+  // DuckDB counts each predicate's entities and distinct objects, then applies
+  // the paper's formulas; `of` must agree for the given kind of predicate on
+  // this KB and on both Rexa-DBLP KBs. The oracle loads every column as VARCHAR.
+  private def assertRawCountsAgreeWithDuckDB(relation: Boolean): Unit = {
     val rexa = KBGen.generate(spark, Datasets.testScale(Datasets.rexaDblp))
     for (triples <- Seq(kb, rexa.kb1, rexa.kb2))
       Oracle.assertEquivalent(
-        AttributeStats.of(triples).toDF(),
-        // The oracle loads every column as VARCHAR.
-        """WITH n AS (SELECT greatest(1, count(DISTINCT CAST(eid AS BIGINT))) AS n FROM triples),
+        AttributeStats.of(triples).filter(_.relation == relation).toDF(),
+        s"""WITH n AS (SELECT greatest(1, count(DISTINCT CAST(eid AS BIGINT))) AS n FROM triples),
           |     g AS (SELECT pred, obj IS NOT NULL AS relation,
           |                  CAST(count(DISTINCT CAST(eid AS BIGINT)) AS DOUBLE) AS ents,
           |                  CAST(count(DISTINCT coalesce(lit, obj)) AS DOUBLE) AS vals
-          |           FROM triples GROUP BY pred, obj IS NOT NULL),
+          |           FROM triples WHERE (obj IS NOT NULL) = $relation
+          |           GROUP BY pred, obj IS NOT NULL),
           |     s AS (SELECT pred, relation, ents / n AS support,
           |                  least(CAST(1 AS DOUBLE), vals / ents) AS discriminability
           |           FROM g, n)
@@ -129,5 +132,13 @@ class AttributeStatsSpec extends SparkSpec {
           |            ELSE 0 END AS importance
           |FROM s""".stripMargin,
         "triples" -> triples)
+  }
+
+  test("literal attr raw counts agree with DuckDB oracle") {
+    assertRawCountsAgreeWithDuckDB(relation = false)
+  }
+
+  test("relation raw counts agree with DuckDB oracle") {
+    assertRawCountsAgreeWithDuckDB(relation = true)
   }
 }
