@@ -39,7 +39,4 @@ object KB {
 
   /** Number of described entities (distinct subjects). */
   def numEntities(triples: DataFrame): Long = triples.select(Eid).distinct().count()
-
-  /** Number of triples. */
-  def numTriples(triples: DataFrame): Long = triples.count()
 }

@@ -1,22 +1,23 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
 
 /** Schema-agnostic tokenization of literal values.
   *
   * MinoanER treats a description as a bag of strings regardless of the
   * attributes they appear under: values are lower-cased and split on any
-  * non-alphanumeric run.
+  * non-alphanumeric run. The rule is one Catalyst expression, shared by B_T,
+  * the BSL n-grams and Table I, and it lower-cases with the same `lower` as
+  * the names of B_N.
   */
 object Tokenizer {
 
-  /** Tokenize one literal value: lowercase, split on non-letter/digit runs. */
-  def tokenize(s: String): Seq[String] =
-    if (s == null) Seq.empty
-    else s.toLowerCase.split("[^\\p{L}\\p{N}]+").iterator.filter(_.nonEmpty).toSeq
-
-  private val tokenizeUdf = udf((s: String) => tokenize(s))
+  /** The tokens of a string column, in order: the runs of letters and digits
+    * of its lower-cased value. Null for a null value, which `explode` turns
+    * into no rows, as it does an empty array.
+    */
+  def tokens(c: Column): Column = regexp_extract_all(lower(c), lit("[\\p{L}\\p{N}]+"), lit(0))
 
   /** Distinct (eid, token) pairs over all literal values of a KB.
     *
@@ -25,18 +26,6 @@ object Tokenizer {
     */
   def entityTokens(triples: DataFrame): DataFrame =
     KB.literals(triples)
-      .select(col(KB.Eid), explode(tokenizeUdf(col(KB.Lit))).as("token"))
+      .select(col(KB.Eid), explode(tokens(col(KB.Lit))).as("token"))
       .distinct()
-
-  /** Average number of (bag) tokens per entity — Table I's "av. tokens". */
-  def avgTokensPerEntity(triples: DataFrame): Double = {
-    val n = KB.numEntities(triples)
-    if (n == 0) 0.0
-    else {
-      val total = KB.literals(triples)
-        .select(explode(tokenizeUdf(col(KB.Lit))).as("token"))
-        .count()
-      total.toDouble / n
-    }
-  }
 }

@@ -8,7 +8,7 @@ import repro.core.{KB, Tokenizer}
 final case class KBStats(
     entities: Long,
     triples: Long,
-    avgTokens: Double,
+    avgTokens: Double,  // bag tokens per entity with a non-type literal
     attributes: Long,   // distinct literal predicates (type predicate excluded)
     relations: Long,    // distinct entity-valued predicates
     types: Long,        // distinct values of the type predicate
@@ -16,16 +16,22 @@ final case class KBStats(
 
 object DatasetStats {
 
-  private def isTypePred = col(KB.Pred).contains(":type")
-
+  /** All of a KB's statistics from one aggregation. */
   def of(kb: DataFrame): KBStats = {
-    val entities = KB.numEntities(kb)
-    val triples  = KB.numTriples(kb)
-    val avgTok   = Tokenizer.avgTokensPerEntity(KB.literals(kb).where(!isTypePred))
-    val attrs = KB.literals(kb).where(!isTypePred).select(KB.Pred).distinct().count()
-    val rels  = KB.relations(kb).select(KB.Pred).distinct().count()
-    val types = KB.literals(kb).where(isTypePred).select(KB.Lit).distinct().count()
-    val vocab = kb.select(split(col(KB.Pred), ":").getItem(0).as("ns")).distinct().count()
-    KBStats(entities, triples, avgTok, attrs, rels, types, vocab)
+    val isType    = col(KB.Pred).contains(":type")
+    val attribute = col(KB.Lit).isNotNull && !isType
+    val r = kb.agg(
+      countDistinct(col(KB.Eid)),
+      count(lit(1)),
+      countDistinct(when(attribute, col(KB.Eid))),
+      coalesce(sum(when(attribute, size(Tokenizer.tokens(col(KB.Lit))))), lit(0L)),
+      countDistinct(when(attribute, col(KB.Pred))),
+      countDistinct(when(col(KB.Obj).isNotNull, col(KB.Pred))),
+      countDistinct(when(col(KB.Lit).isNotNull && isType, col(KB.Lit))),
+      countDistinct(split(col(KB.Pred), ":").getItem(0))
+    ).head()
+    val tokenEntities = r.getLong(2)
+    val avgTokens = if (tokenEntities == 0) 0.0 else r.getLong(3).toDouble / tokenEntities
+    KBStats(r.getLong(0), r.getLong(1), avgTokens, r.getLong(4), r.getLong(5), r.getLong(6), r.getLong(7))
   }
 }

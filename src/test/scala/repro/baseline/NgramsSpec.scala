@@ -1,25 +1,33 @@
 package repro.baseline
 
+import org.apache.spark.sql.functions.col
 import repro.SparkSpec
-import repro.core.KB
+import repro.core.{KB, Tokenizer}
 
 class NgramsSpec extends SparkSpec {
   import spark.implicits._
 
+  /** The n-grams of `s` on a one-row frame; a null array, which `explode`
+    * treats as empty, reads as no grams.
+    */
+  private def gramsOf(s: String, n: Int): Seq[String] =
+    Option(Seq(s).toDF("s").select(Ngrams.grams(Tokenizer.tokens(col("s")), n)).head().getSeq[String](0))
+      .getOrElse(Seq.empty)
+
   test("unigrams are plain tokens") {
-    assert(Ngrams.gramsOf("a b c", 1) == Seq("a", "b", "c"))
+    assert(gramsOf("a b c", 1) == Seq("a", "b", "c"))
   }
 
   test("bigrams join consecutive tokens") {
-    assert(Ngrams.gramsOf("a b c", 2) == Seq("a_b", "b_c"))
+    assert(gramsOf("a b c", 2) == Seq("a_b", "b_c"))
   }
 
   test("trigrams join three consecutive tokens") {
-    assert(Ngrams.gramsOf("a b c d", 3) == Seq("a_b_c", "b_c_d"))
+    assert(gramsOf("a b c d", 3) == Seq("a_b_c", "b_c_d"))
   }
 
   test("values shorter than n yield no grams") {
-    assert(Ngrams.gramsOf("a b", 3) == Seq.empty)
+    assert(gramsOf("a b", 3) == Seq.empty)
   }
 
   test("grams do not cross value boundaries") {

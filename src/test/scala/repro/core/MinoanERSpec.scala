@@ -155,4 +155,51 @@ class MinoanERSpec extends SparkSpec {
     val left = spark.sparkContext.getRDDStorageInfo
     assert(left.isEmpty, left.map(_.name).mkString("; "))
   }
+
+  // Output contract: an e1 matched by H2 or H3 has one match, while H1 may
+  // match an e1 once per unique name it shares; degenerate KB pairs resolve
+  // without throwing.
+
+  private def literals(rows: (Long, String, String)*) =
+    KB.fromRows(spark, rows.map { case (e, p, v) => KB.TripleRow(e, p, Some(v), None) })
+
+  /** Every block is 1 x 1, and there are no relation triples: e1 0 shares
+    * one unique name with e2 0 and another with e2 1.
+    */
+  private lazy val twoNames = MinoanER.resolve(spark,
+    literals((0, "n1", "alpha beta"), (0, "v1", "gamma delta"), (1, "n1", "x1"), (1, "v1", "y1")),
+    literals((0, "n2", "alpha beta"), (0, "v2", "q0"), (1, "n2", "r1"), (1, "v2", "gamma delta")))
+
+  private def matchSet(r: MinoanERResult): Set[(Long, Long, String)] =
+    r.matches.as[(Long, Long, String)].collect().toSet
+
+  test("H1 matches an e1 once per unique shared name, and H4 keeps both") {
+    assert(matchSet(twoNames) == Set((0L, 0L, "H1"), (0L, 1L, "H1")))
+  }
+
+  test("without relation triples there are no neighbor sims, and H1 still matches") {
+    assert(twoNames.neighborSims.isEmpty)
+    assert(matchSet(twoNames).nonEmpty)
+  }
+
+  test("a one-level purge histogram keeps its blocks") {
+    val all = twoNames.blocking.tokenBlocksAll
+    assert(all.select("comparisons").distinct().count() == 1)
+    assert(twoNames.blocking.tokenBlocks.count() == all.count() && !all.isEmpty)
+  }
+
+  test("an empty KB pair resolves to no matches") {
+    val empty = KB.fromRows(spark, Seq.empty)
+    val r = MinoanER.resolve(spark, empty, empty)
+    assert(r.matches.isEmpty)
+    r.unpersist()
+  }
+
+  test("KBs that share no token resolve to no matches") {
+    val r = MinoanER.resolve(spark,
+      literals((0, "n1", "a1"), (1, "n1", "b1")),
+      literals((0, "n2", "c2"), (1, "n2", "d2")))
+    assert(r.matches.isEmpty)
+    r.unpersist()
+  }
 }
