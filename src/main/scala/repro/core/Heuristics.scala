@@ -19,11 +19,15 @@ import org.apache.spark.sql.functions._
   */
 object Heuristics {
 
+  /** Drops the pairs whose e1 or e2 is matched. The matched lists may
+    * repeat an id; a repeated key on the build side of an anti-join changes
+    * nothing.
+    */
   private def excludeMatched(sims: DataFrame,
                              matchedE1: DataFrame,
                              matchedE2: DataFrame): DataFrame =
-    sims.join(broadcast(matchedE1.select("e1").distinct()), Seq("e1"), "left_anti")
-        .join(broadcast(matchedE2.select("e2").distinct()), Seq("e2"), "left_anti")
+    sims.join(broadcast(matchedE1.select("e1")), Seq("e1"), "left_anti")
+        .join(broadcast(matchedE2.select("e2")), Seq("e2"), "left_anti")
 
   /** Position of each pair in the `part`-side ranking of `simCol`, best
     * first with the smaller other-side id winning ties; null where the pair

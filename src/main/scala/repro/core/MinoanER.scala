@@ -58,6 +58,14 @@ object MinoanER {
     */
   private def cache(df: DataFrame): DataFrame = coalescingCaches(df.sparkSession)(df.cache())
 
+  /** A view of the cached `df` whose plan is one `LogicalRDD` leaf over the
+    * cache's rows. A plan that reads `df` itself carries `df`'s whole plan,
+    * and the caches nested in it, each printed twice by adaptive execution;
+    * Spark prints that plan for every execution event. The leaf's RDD keeps
+    * its lineage, so it is recomputed if `df` is released and read again.
+    */
+  private def leaf(df: DataFrame): DataFrame = df.sparkSession.createDataFrame(df.rdd, df.schema)
+
   def resolve(spark: SparkSession,
               kb1: DataFrame,
               kb2: DataFrame,
@@ -85,21 +93,28 @@ object MinoanER {
     // The candidate graph H2-H4 read.
     val graph = cache(Heuristics.graph(vs, ns, params.K))
 
+    // From here on, the cached graph, m1 and m2 are read through leaves.
+    val graphLeaf = leaf(graph)
+    val m1Leaf    = leaf(m1)
+
     // H2 on entities unmatched by H1.
-    val m2 = cache(Heuristics.h2(graph, m1.select("e1"), m1.select("e2"))
+    val m2 = cache(Heuristics.h2(graph, m1Leaf.select("e1"), m1Leaf.select("e2"))
       .withColumn("heuristic", lit("H2")))
+    val m2Leaf = leaf(m2)
 
     // H3 on entities unmatched by H1 and H2.
-    val matched1 = m1.select("e1").union(m2.select("e1"))
-    val matched2 = m1.select("e2").union(m2.select("e2"))
-    val m3 = Heuristics.h3OnGraph(graph, matched1, matched2, params.K, params.theta)
+    val matched1 = m1Leaf.select("e1").union(m2Leaf.select("e1"))
+    val matched2 = m1Leaf.select("e2").union(m2Leaf.select("e2"))
+    val m3 = Heuristics.h3OnGraph(graphLeaf, matched1, matched2, params.K, params.theta)
       .withColumn("heuristic", lit("H3"))
 
     // H4 verification of the disjunction.
-    val matches = cache(Heuristics.h4OnGraph(m1.unionByName(m2).unionByName(m3), graph))
+    val matches = cache(Heuristics.h4OnGraph(m1Leaf.unionByName(m2Leaf).unionByName(m3), graphLeaf))
 
     // A cache whose buffers are loaded no longer reads the frames it was
-    // computed from, so those can be released once `matches` is.
+    // computed from, so those can be released once `matches` is. A leaf's
+    // RDD still reaches them through its lineage, so `matches` can be
+    // recomputed after they are gone.
     matches.count()
     Seq(graph, m1, m2, tok1, tok2).foreach(_.unpersist(blocking = true))
 

@@ -41,8 +41,8 @@ object TokenBlocking {
   def purge(blockDf: DataFrame, smooth: Double = 1.025): DataFrame = {
     val levels = blockDf.groupBy("comparisons")
       .agg(sum(col("n1") + col("n2")).as("assignments"), count(lit(1)).as("nblocks"))
-      .orderBy("comparisons")
       .collect()
+      .sortBy(_.getLong(0))
     if (levels.isEmpty) return blockDf
 
     var cumA = 0.0

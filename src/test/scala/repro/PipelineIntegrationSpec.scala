@@ -55,6 +55,16 @@ class PipelineIntegrationSpec extends SparkSpec {
       assert(SigmaLite.resolve(pair.kb1, pair.kb2, res) == reference)
     }
 
+    // H2-H4 read leaves of their cached inputs, so the plan of `matches`
+    // does not nest the plans of every cache before it. Spark prints that
+    // plan on every execution event, and each level of nested caches doubles it.
+    if (cfg == Datasets.rexaDblp)
+      test(s"${cfg.name} @ test scale: the plan of matches holds at most 5 cached relations") {
+        val plan = res.matches.queryExecution.toString
+        val relations = "InMemoryRelation".r.findAllMatchIn(plan).size
+        assert(relations <= 5, s"$relations InMemoryRelations in a plan of ${plan.length} characters")
+      }
+
     // Cached frames are partitioned as the data needs, so the match set
     // must not depend on how many shuffle partitions there are. The second
     // resolve builds the same logical plans, so the first one's caches are

@@ -6,7 +6,7 @@ import org.scalacheck.{Gen, rng}
 
 /** The candidate-graph H2, H3 and H4 equal [[ReferenceHeuristics]] on random
   * similarity tables with tied sims, neighbor-only pairs, zero neighbor sims
-  * and random matched sets.
+  * and random matched lists, which may repeat an id.
   *
   * Every heuristic decides per entity, so many random cases are checked in
   * one Spark query: case i's entity ids are shifted by i * Stride, which
@@ -26,8 +26,9 @@ class HeuristicsEquivalenceSpec extends SparkSpec {
   private def sims(values: Double*): Gen[Seq[(Long, Long, Double)]] =
     Gen.listOf(for (a <- ids; b <- ids; s <- Gen.oneOf(values)) yield (a, b, s))
       .map(_.distinctBy(p => (p._1, p._2)))
+  /** A matched list may repeat an id, as H1 may match an e1 twice. */
   private def matched: Gen[Seq[Long]] =
-    Gen.choose(0, 3).flatMap(n => Gen.pick(n, 0L to 5L)).map(_.toSeq)
+    Gen.choose(0, 3).flatMap(n => Gen.listOfN(n, ids))
 
   private val genCase: Gen[Case] = for {
     vs <- sims(0.25, 0.5, 1.0, 1.5, 2.0)
@@ -39,7 +40,7 @@ class HeuristicsEquivalenceSpec extends SparkSpec {
 
   /** 200 random cases packed into one set of tables. */
   private object t {
-    private val cases = Gen.listOfN(200, genCase).apply(Gen.Parameters.default, rng.Seed(1L)).get
+    val cases = Gen.listOfN(200, genCase).apply(Gen.Parameters.default, rng.Seed(1L)).get
     private def shifted[A](f: Case => Seq[A])(shift: (A, Long) => A): Seq[A] =
       cases.zipWithIndex.flatMap { case (c, i) => f(c).map(shift(_, i * Stride)) }
     val vs = shifted(_.vs)((p, o) => (p._1 + o, p._2 + o, p._3)).toDF("e1", "e2", "vsim")
@@ -55,6 +56,11 @@ class HeuristicsEquivalenceSpec extends SparkSpec {
     val (g, r) = (rows(graphBased), rows(reference))
     assert(r.nonEmpty, s"$what: the reference selects nothing, so the check is vacuous")
     assert(g == r, s"$what: only graph-based ${g -- r}, only reference ${r -- g}")
+  }
+
+  test("the random matched lists repeat ids") {
+    def repeats(ms: Seq[Long]) = ms.distinct.size < ms.size
+    assert(t.cases.exists(c => repeats(c.matched1)) && t.cases.exists(c => repeats(c.matched2)))
   }
 
   test("H2 on the candidate graph equals the reference") {

@@ -156,6 +156,16 @@ class MinoanERSpec extends SparkSpec {
     assert(left.isEmpty, left.map(_.name).mkString("; "))
   }
 
+  test("matches and both similarity tables stay usable after unpersist") {
+    spark.catalog.clearCache()
+    val r = MinoanER.resolve(spark, kb1, kb2, MinoanERParams(purgeSmooth = 100.0))
+    def contents = Seq(r.matches, r.valueSims, r.neighborSims).map(_.collect().toSet)
+    val before = contents
+    assert(before.forall(_.nonEmpty))
+    r.unpersist()
+    assert(contents == before)
+  }
+
   // Output contract: an e1 matched by H2 or H3 has one match, while H1 may
   // match an e1 once per unique name it shares; degenerate KB pairs resolve
   // without throwing.
