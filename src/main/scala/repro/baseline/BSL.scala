@@ -44,9 +44,7 @@ object BSL {
             thresholds: Seq[Double] = Thresholds): (BslOutcome, Seq[BslOutcome]) = {
 
     val cands = candidates(kb1, kb2).cache()
-    val gtSet   = gt.select("e1", "e2").collect().map(r => (r.getLong(0), r.getLong(1))).toSet
-    val gtE1    = gtSet.map(_._1)
-    val nActual = gtSet.size
+    val gtSet = gt.select("e1", "e2").collect().map(r => (r.getLong(0), r.getLong(1))).toSet
 
     val outcomes = ns.flatMap { n =>
       val g1 = Ngrams.entityGrams(kb1, n).cache()
@@ -63,10 +61,8 @@ object BSL {
         accepted = UniqueMappingClustering.cluster(pairs)
         t <- thresholds
       } yield {
-        // Paper-style evaluation: only KB1 entities present in the ground truth.
-        val pred = accepted.iterator.filter(p => p._3 >= t && gtE1.contains(p._1)).toSeq
-        val tp = pred.count(p => gtSet.contains((p._1, p._2)))
-        BslOutcome(BslConfig(n, scheme, measure, t), PRF(tp, pred.size, nActual))
+        val pred = accepted.collect { case (e1, e2, s) if s >= t => (e1, e2) }
+        BslOutcome(BslConfig(n, scheme, measure, t), Evaluation.evaluateOnGtE1(pred, gtSet))
       }
       Seq(g1, g2).foreach(_.unpersist(blocking = true))
       out

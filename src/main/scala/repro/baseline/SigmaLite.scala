@@ -94,8 +94,9 @@ object SigmaLite {
 
   /** Runs on the evidence `MinoanER.resolve` computed for the same KB pair:
     * its value similarities, its name blocks for the H1 seeds and the
-    * neighbors over its top relations. Reads `res.valueSims`, so call it
-    * before `res.unpersist()`.
+    * neighbors over its top relations. `res.valueSims` is the one frame it
+    * reads that `resolve` leaves cached; after `res.unpersist()` it is
+    * recomputed.
     */
   def resolve(kb1: DataFrame, kb2: DataFrame, res: MinoanERResult): Seq[(Long, Long)] = {
     val vs = res.valueSims.collect().map(r => (r.getLong(0), r.getLong(1), r.getDouble(2))).toSeq

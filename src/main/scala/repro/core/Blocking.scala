@@ -5,13 +5,13 @@ import org.apache.spark.sql.DataFrame
 /** The schema-agnostic blocking front end of one KB pair: each KB's
   * predicate statistics (one pass) with its name attributes and top
   * relations, names and the name blocks B_N, tokens and the token blocks B_T
-  * before and after Block Purging. MinoanER and the BSL baseline read the
-  * same block collections, so both build them here.
+  * before and after Block Purging. MinoanER, the BSL baseline and Table II
+  * read the same block collections, so all three build them here.
   *
   * Every member is lazy and no frame is cached. A caller that reads a frame
   * more than once caches it in place (`Dataset.cache()` returns the same
-  * frame) before the members derived from it are first read, as
-  * `MinoanER.resolve` does for the tokens and token blocks.
+  * frame) before the members derived from it are first read; which frames
+  * `MinoanER.resolve` caches is decided there alone.
   */
 final class Blocking(kb1: DataFrame, kb2: DataFrame, params: MinoanERParams) {
 

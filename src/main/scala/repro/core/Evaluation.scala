@@ -1,7 +1,6 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
 
 /** Precision / recall / F1 over a (e1, e2) ground truth. */
 final case class PRF(tp: Long, predicted: Long, actual: Long) {
@@ -17,22 +16,15 @@ final case class PRF(tp: Long, predicted: Long, actual: Long) {
 
 object Evaluation {
 
-  /** Plain set-based evaluation of predicted (e1, e2) pairs. */
-  def evaluate(pred: DataFrame, gt: DataFrame): PRF = {
-    val p  = pred.select("e1", "e2").distinct().cache()
-    val tp = p.join(gt.select("e1", "e2"), Seq("e1", "e2"), "left_semi").count()
-    val prf = PRF(tp, p.count(), gt.count())
-    p.unpersist()
-    prf
-  }
-
-  /** Paper-style evaluation: "with respect to the descriptions in the first
-    * KB appearing in the ground truth" — predictions whose e1 is not part of
-    * the ground truth are ignored.
+  /** Paper-style evaluation on the driver: "with respect to the
+    * descriptions in the first KB appearing in the ground truth" —
+    * predictions whose e1 is not part of the ground truth are ignored, and a
+    * repeated prediction counts once.
     */
-  def evaluateOnGtE1(pred: DataFrame, gt: DataFrame): PRF = {
-    val restricted = pred.join(gt.select("e1").distinct(), Seq("e1"), "left_semi")
-    evaluate(restricted, gt)
+  def evaluateOnGtE1(pred: Iterable[(Long, Long)], gt: Set[(Long, Long)]): PRF = {
+    val gtE1 = gt.map(_._1)
+    val restricted = pred.iterator.filter(p => gtE1.contains(p._1)).toSet
+    PRF(restricted.count(gt.contains).toLong, restricted.size.toLong, gt.size.toLong)
   }
 
   /** Blocking quality for Table II.

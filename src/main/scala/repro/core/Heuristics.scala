@@ -59,14 +59,16 @@ object Heuristics {
     * For every not-yet-matched KB1 entity, keep its best co-occurring KB2
     * candidate by valueSim; the pair is a match iff vmax ≥ 1. `valueSims` may
     * be the candidate graph: its pairs without a valueSim never qualify.
+    * Pairs below 1 are dropped before the ranking, so the ranking sees only
+    * the few that can match, and e1's best pair is still first when it
+    * qualifies.
     */
-  def h2(valueSims: DataFrame, matchedE1: DataFrame, matchedE2: DataFrame): DataFrame = {
-    val cands = excludeMatched(valueSims, matchedE1, matchedE2)
-    val w = Window.partitionBy("e1").orderBy(desc("vsim"), asc("e2"))
-    cands.withColumn("rn", row_number().over(w))
-      .where(col("rn") === 1 && col("vsim") >= 1.0)
+  def h2(valueSims: DataFrame, matchedE1: DataFrame, matchedE2: DataFrame): DataFrame =
+    excludeMatched(valueSims, matchedE1, matchedE2)
+      .where(col("vsim") >= 1.0)
+      .withColumn("rn", rank("vsim", "e1"))
+      .where(col("rn") === 1)
       .select("e1", "e2")
-  }
 
   /** H3 on the similarity tables: [[h3OnGraph]] over their [[graph]]. */
   def h3(valueSims: DataFrame,
@@ -103,8 +105,7 @@ object Heuristics {
       .where(col("sv").isNotNull || col("sn").isNotNull)
       .withColumn("score",
         lit(theta) * coalesce(col("sv"), lit(0.0)) + lit(1.0 - theta) * coalesce(col("sn"), lit(0.0)))
-    val w = Window.partitionBy("e1").orderBy(desc("score"), asc("e2"))
-    scored.withColumn("rn", row_number().over(w))
+    scored.withColumn("rn", rank("score", "e1"))
       .where(col("rn") === 1)
       .select("e1", "e2")
   }

@@ -11,19 +11,19 @@ final case class MinoanERParams(
     theta: Double = 0.6,  // trade-off value-based vs neighbor-based candidates
     purgeSmooth: Double = 1.025)
 
-/** Everything the pipeline produces, incl. intermediates for Table II. */
+/** Everything the pipeline produces. `resolve` returns with `matches` and
+  * `valueSims` cached; the other frames are lazy and recomputed when read.
+  */
 final case class MinoanERResult(
     matches: DataFrame,          // (e1, e2, heuristic)
     blocking: Blocking,          // statistics, names, B_N, tokens, B_T before and after purging
     valueSims: DataFrame,        // (e1, e2, vsim)
     neighborSims: DataFrame) {   // (e1, e2, nsim)
 
-  /** Releases the frames `resolve` left cached and waits until they are
+  /** Releases the two frames `resolve` left cached and waits until they are
     * gone. They stay usable, but are recomputed if read again.
     */
-  def unpersist(): Unit =
-    Seq(blocking.tokenBlocksAll, blocking.tokenBlocks, valueSims, neighborSims, matches)
-      .foreach(_.unpersist(blocking = true))
+  def unpersist(): Unit = Seq(valueSims, matches).foreach(_.unpersist(blocking = true))
 }
 
 /** The MinoanER non-iterative matching process.
@@ -77,18 +77,20 @@ object MinoanER {
     val m1 = cache(NameBlocking.h1Matches(blocking.names1, blocking.names2)
       .withColumn("heuristic", lit("H1")))
 
-    // B_T, purging, valueSim. The tokens and B_T are cached in place before
-    // the purge reads them, so its histogram job fills those caches.
+    // B_T, purging, valueSim. A frame is cached only if it is read twice:
+    // the tokens and unpurged B_T are cached in place before the purge reads
+    // them, so its histogram job fills those caches; the purged B_T is read
+    // once, by the token weights.
     val tok1    = cache(blocking.tokens1)
     val tok2    = cache(blocking.tokens2)
-    cache(blocking.tokenBlocksAll)
-    val weights = ValueSim.tokenWeights(cache(blocking.tokenBlocks))
+    val btAll   = cache(blocking.tokenBlocksAll)
+    val weights = ValueSim.tokenWeights(blocking.tokenBlocks)
     val vs      = cache(ValueSim.pairSims(tok1, tok2, weights))
 
-    // Neighbor similarity over the top-N relations.
+    // Neighbor similarity over the top-N relations, read once, by the graph.
     val nbrs1 = NeighborSim.topNeighbors(kb1, blocking.topRels1)
     val nbrs2 = NeighborSim.topNeighbors(kb2, blocking.topRels2)
-    val ns    = cache(NeighborSim.pairSims(nbrs1, nbrs2, vs))
+    val ns    = NeighborSim.pairSims(nbrs1, nbrs2, vs)
 
     // The candidate graph H2-H4 read.
     val graph = cache(Heuristics.graph(vs, ns, params.K))
@@ -114,9 +116,10 @@ object MinoanER {
     // A cache whose buffers are loaded no longer reads the frames it was
     // computed from, so those can be released once `matches` is. A leaf's
     // RDD still reaches them through its lineage, so `matches` can be
-    // recomputed after they are gone.
+    // recomputed after they are gone. `valueSims` stays cached for the
+    // callers that read it.
     matches.count()
-    Seq(graph, m1, m2, tok1, tok2).foreach(_.unpersist(blocking = true))
+    Seq(graph, m1, m2, tok1, tok2, btAll).foreach(_.unpersist(blocking = true))
 
     MinoanERResult(matches, blocking, vs, ns)
   }

@@ -33,12 +33,13 @@ object TokenBlocking {
     * largest level down, a level is purged while the density A/C of the
     * remaining prefix exceeds `smooth` times the density including it —
     * i.e. removing the level must pay for itself with a `smooth`-fold
-    * density gain (1.025, the smooth factor of the meta-blocking line of
-    * work). The walk stops at the first level whose removal yields a
-    * marginal gain, so long-tailed realistic histograms keep their small and
-    * mid blocks while stop-word mega blocks are purged.
+    * density gain (`MinoanERParams.purgeSmooth`, 1.025 by default, the
+    * smooth factor of the meta-blocking line of work). The walk stops at the
+    * first level whose removal yields a marginal gain, so long-tailed
+    * realistic histograms keep their small and mid blocks while stop-word
+    * mega blocks are purged.
     */
-  def purge(blockDf: DataFrame, smooth: Double = 1.025): DataFrame = {
+  def purge(blockDf: DataFrame, smooth: Double): DataFrame = {
     val levels = blockDf.groupBy("comparisons")
       .agg(sum(col("n1") + col("n2")).as("assignments"), count(lit(1)).as("nblocks"))
       .collect()

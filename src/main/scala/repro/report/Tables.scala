@@ -54,15 +54,14 @@ object Tables {
   // --------------------------------------------------------------- Table II
 
   def table2Row(spark: SparkSession, cfg: KBConfig): Table2Row = {
-    val pair = KBGen.generate(spark, cfg)
-    val res  = MinoanER.resolve(spark, pair.kb1, pair.kb2)
+    val pair     = KBGen.generate(spark, cfg)
+    val blocking = new Blocking(pair.kb1, pair.kb2, MinoanERParams())
 
-    val (bnN, bnC) = TokenBlocking.stats(res.blocking.nameBlocks)
-    val (btN, btC) = TokenBlocking.stats(res.blocking.tokenBlocks)
+    val (bnN, bnC) = TokenBlocking.stats(blocking.nameBlocks)
+    val (btN, btC) = TokenBlocking.stats(blocking.tokenBlocks)
     val n1 = KB.numEntities(pair.kb1).toDouble
     val n2 = KB.numEntities(pair.kb2).toDouble
-    val blockingPrf = Evaluation.blockingPRF(res.blocking.candidatePairs, pair.groundTruth, bnC + btC)
-    res.unpersist()
+    val blockingPrf = Evaluation.blockingPRF(blocking.candidatePairs, pair.groundTruth, bnC + btC)
     Table2Row(cfg.name, bnN, btN, bnC, btC, n1 * n2, blockingPrf)
   }
 
@@ -81,20 +80,19 @@ object Tables {
   // -------------------------------------------------------------- Table III
 
   def table3Row(spark: SparkSession, cfg: KBConfig): Table3Row = {
-    val pair = KBGen.generate(spark, cfg)
-    val res  = MinoanER.resolve(spark, pair.kb1, pair.kb2)
-    val mPrf = Evaluation.evaluateOnGtE1(res.matches, pair.groundTruth)
-    val perH = res.matches.groupBy("heuristic").count().collect()
-      .map(r => r.getString(0) -> r.getLong(1)).toMap
-
     import spark.implicits._
-    val sigma = SigmaLite.resolve(pair.kb1, pair.kb2, res).toDF("e1", "e2")
-    val sPrf  = Evaluation.evaluateOnGtE1(sigma, pair.groundTruth)
+    val pair    = KBGen.generate(spark, cfg)
+    val gt      = pair.groundTruth.select("e1", "e2").as[(Long, Long)].collect().toSet
+    val res     = MinoanER.resolve(spark, pair.kb1, pair.kb2)
+    val matches = res.matches.as[(Long, Long, String)].collect()
+    val mPrf    = Evaluation.evaluateOnGtE1(matches.map(m => (m._1, m._2)), gt)
+    val perH    = matches.groupMapReduce(_._3)(_ => 1L)(_ + _)
+
+    val sPrf = Evaluation.evaluateOnGtE1(SigmaLite.resolve(pair.kb1, pair.kb2, res), gt)
     res.unpersist()
 
     val (bslBest, _) = BSL.sweep(spark, pair.kb1, pair.kb2, pair.groundTruth)
-    val paris = ParisLite.resolve(pair.kb1, pair.kb2).toDF("e1", "e2")
-    val pPrf  = Evaluation.evaluateOnGtE1(paris, pair.groundTruth)
+    val pPrf = Evaluation.evaluateOnGtE1(ParisLite.resolve(pair.kb1, pair.kb2), gt)
 
     Table3Row(cfg.name, mPrf, perH, bslBest, sPrf, pPrf)
   }

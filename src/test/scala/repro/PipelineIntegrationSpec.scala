@@ -28,7 +28,8 @@ class PipelineIntegrationSpec extends SparkSpec {
   for (cfg <- Datasets.all) {
     lazy val pair = KBGen.generate(spark, Datasets.testScale(cfg))
     lazy val res  = withConf(Partitions, Some("64"))(MinoanER.resolve(spark, pair.kb1, pair.kb2))
-    lazy val prf  = Evaluation.evaluateOnGtE1(res.matches, pair.groundTruth)
+    lazy val prf  = Evaluation.evaluateOnGtE1(matchSet(res).map(m => (m._1, m._2)),
+      pair.groundTruth.collect().map(r => (r.getAs[Long]("e1"), r.getAs[Long]("e2"))).toSet)
 
     test(s"${cfg.name} @ test scale: F1 above its floor") {
       assert(prf.f1 > floors(cfg.name), s"${cfg.name}: $prf")

@@ -2,6 +2,7 @@ package repro.core
 
 import repro.SparkSpec
 import org.apache.spark.sql.functions._
+import org.apache.spark.storage.StorageLevel
 
 /** End-to-end pipeline on a hand-crafted KB pair where every heuristic has a
   * designated winner:
@@ -100,8 +101,8 @@ class MinoanERSpec extends SparkSpec {
   }
 
   test("the full pipeline resolves the ground truth perfectly (paper-style eval)") {
-    val gt = Seq((0L, 0L), (1L, 1L), (2L, 2L)).toDF("e1", "e2")
-    val prf = Evaluation.evaluateOnGtE1(res.matches, gt)
+    val gt = Set((0L, 0L), (1L, 1L), (2L, 2L))
+    val prf = Evaluation.evaluateOnGtE1(res.matches.select("e1", "e2").as[(Long, Long)].collect(), gt)
     assert(prf.precision == 1.0 && prf.recall == 1.0)
   }
 
@@ -154,6 +155,17 @@ class MinoanERSpec extends SparkSpec {
     MinoanER.resolve(spark, kb1, kb2, MinoanERParams(purgeSmooth = 100.0)).unpersist()
     val left = spark.sparkContext.getRDDStorageInfo
     assert(left.isEmpty, left.map(_.name).mkString("; "))
+  }
+
+  test("resolve returns with only matches and valueSims cached") {
+    spark.catalog.clearCache()
+    val r = MinoanER.resolve(spark, kb1, kb2, MinoanERParams(purgeSmooth = 100.0))
+    val cached = spark.sparkContext.getRDDStorageInfo
+    assert(cached.length == 2, s"${cached.length} cached: ${cached.map(_.name.take(80)).mkString("; ")}")
+    assert(Seq(r.matches, r.valueSims).forall(_.storageLevel != StorageLevel.NONE))
+    val released = Seq(r.neighborSims, r.blocking.tokenBlocks, r.blocking.tokenBlocksAll)
+    assert(released.forall(_.storageLevel == StorageLevel.NONE))
+    r.unpersist()
   }
 
   test("matches and both similarity tables stay usable after unpersist") {

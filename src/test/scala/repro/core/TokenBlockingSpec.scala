@@ -6,6 +6,8 @@ import org.apache.spark.sql.functions._
 class TokenBlockingSpec extends SparkSpec {
   import spark.implicits._
 
+  private val smooth = MinoanERParams().purgeSmooth
+
   private def toks(pairs: (Long, String)*) = pairs.toDF("eid", "token")
 
   test("blocks keep only tokens present on both sides") {
@@ -40,7 +42,7 @@ class TokenBlockingSpec extends SparkSpec {
              (0 until 40).map(i => (i.toLong, "stop"))
     val t2 = (0 until 50).map(i => (100L + i, s"rare$i")) ++
              (0 until 40).map(i => (100L + i, "stop"))
-    val purged = TokenBlocking.purge(TokenBlocking.blocks(t1.toDF("eid", "token"), t2.toDF("eid", "token")))
+    val purged = TokenBlocking.purge(TokenBlocking.blocks(t1.toDF("eid", "token"), t2.toDF("eid", "token")), smooth)
     val kept = purged.select("token").as[String].collect().toSet
     assert(!kept.contains("stop"))
     assert(kept.size == 50)
@@ -50,7 +52,7 @@ class TokenBlockingSpec extends SparkSpec {
     val t1 = (0 until 30).map(i => (i.toLong, s"t$i"))
     val t2 = (0 until 30).map(i => (100L + i, s"t$i"))
     val blocks = TokenBlocking.blocks(t1.toDF("eid", "token"), t2.toDF("eid", "token"))
-    assert(TokenBlocking.purge(blocks).count() == 30)
+    assert(TokenBlocking.purge(blocks, smooth).count() == 30)
   }
 
   test("purging keeps blocks whose removal yields only marginal density gain") {
@@ -59,13 +61,13 @@ class TokenBlockingSpec extends SparkSpec {
     val t1 = (0 until 30).map(i => (i.toLong, s"a$i")) :+ (0L, "b0")
     val t2 = (0 until 30).map(i => (100L + i, s"a$i")) ++ Seq((100L, "b0"), (101L, "b0"))
     val blocks = TokenBlocking.blocks(t1.toDF("eid", "token"), t2.toDF("eid", "token"))
-    val purged = TokenBlocking.purge(blocks)
+    val purged = TokenBlocking.purge(blocks, smooth)
     assert(purged.count() == blocks.count())
   }
 
   test("purging an empty block collection is a no-op") {
     val empty = TokenBlocking.blocks(toks((0L, "a")), toks((9L, "b")))
-    assert(TokenBlocking.purge(empty).count() == 0)
+    assert(TokenBlocking.purge(empty, smooth).count() == 0)
   }
 
   test("candidatePairs enumerates cross pairs of kept blocks only") {
@@ -99,7 +101,7 @@ class TokenBlockingSpec extends SparkSpec {
     val t2 = (0 until n).flatMap(i => Seq((1000L + i, s"rare$i"), (1000L + i, "the"), (1000L + i, "of")))
     val blocks = TokenBlocking.blocks(t1.toDF("eid", "token"), t2.toDF("eid", "token"))
     val (_, ccAll) = TokenBlocking.stats(blocks)
-    val (_, ccKept) = TokenBlocking.stats(TokenBlocking.purge(blocks))
+    val (_, ccKept) = TokenBlocking.stats(TokenBlocking.purge(blocks, smooth))
     assert(ccKept * 50 < ccAll)   // 2 mega blocks of n^2 vs n singletons
     assert(ccKept == n.toDouble)  // all rare blocks kept
   }

@@ -42,7 +42,7 @@ class DatasetsSpec extends SparkSpec {
       val pair = KBGen.generate(spark, Datasets.testScale(cfg))
       val tok1 = Tokenizer.entityTokens(pair.kb1)
       val tok2 = Tokenizer.entityTokens(pair.kb2)
-      val kept = TokenBlocking.purge(TokenBlocking.blocks(tok1, tok2))
+      val kept = TokenBlocking.purge(TokenBlocking.blocks(tok1, tok2), MinoanERParams().purgeSmooth)
       val cands = TokenBlocking.candidatePairs(tok1, tok2, kept)
       val found = pair.groundTruth.join(cands, Seq("e1", "e2"), "left_semi").count()
       // Paper reports > 99% blocking recall; small scale tolerates a bit less.
