@@ -35,7 +35,8 @@ object BSL {
     *
     * One greedy UMC pass per (n, weighting, measure) is threshold-sweepable
     * (see UniqueMappingClustering), so the 420-config grid costs 24 passes.
-    * Every frame the sweep caches is released before it returns.
+    * The candidates and each n's gram frames are cached through the
+    * coalescing `MinoanER.cache`; all are released before the sweep returns.
     */
   def sweep(spark: SparkSession,
             kb1: DataFrame, kb2: DataFrame, gt: DataFrame,
@@ -43,12 +44,12 @@ object BSL {
             weightings: Seq[String] = Weighting.all,
             thresholds: Seq[Double] = Thresholds): (BslOutcome, Seq[BslOutcome]) = {
 
-    val cands = candidates(kb1, kb2).cache()
+    val cands = MinoanER.cache(candidates(kb1, kb2))
     val gtSet = gt.select("e1", "e2").collect().map(r => (r.getLong(0), r.getLong(1))).toSet
 
     val outcomes = ns.flatMap { n =>
-      val g1 = Ngrams.entityGrams(kb1, n).cache()
-      val g2 = Ngrams.entityGrams(kb2, n).cache()
+      val g1 = MinoanER.cache(Ngrams.entityGrams(kb1, n))
+      val g2 = MinoanER.cache(Ngrams.entityGrams(kb2, n))
       val out = for {
         scheme <- weightings
         (v1, v2) = Weighting.weighted(g1, g2, scheme)

@@ -1,6 +1,7 @@
 package repro.baseline
 
 import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 
 /** The four similarity measures of the BSL baseline, computed per candidate
@@ -23,42 +24,40 @@ object BslSimilarities {
     *
     * `dfCap` drops grams whose per-side frequency exceeds the cap (the
     * stop-word equivalents) to bound the gram join; entity norms/sums are
-    * computed over the same capped vectors for consistency.
+    * computed over the same capped vectors for consistency. One plan: window
+    * sums over the union of both sides count each gram's rows per side and
+    * give each entity's totals, which ride through the gram join and the
+    * candidate semi-join as grouping keys of the one aggregation.
     */
   def pairSims(v1: DataFrame, v2: DataFrame, candidates: DataFrame,
                dfCap: Long = 1000): DataFrame = {
+    val side = col("side")
+    def rowsOn(s: Int) = sum(when(side === s, 1L).otherwise(0L)).over(Window.partitionBy("gram"))
+    val byEntity = Window.partitionBy("side", "eid")
     // A gram over the cap on either side is a stop-word equivalent: drop it
-    // globally so both vectors see the same vocabulary.
-    val c1 = v1.groupBy("gram").agg(count(lit(1)).as("c1"))
-    val c2 = v2.groupBy("gram").agg(count(lit(1)).as("c2"))
-    val kept = c1.join(c2, Seq("gram"), "outer")
-      .where(coalesce(col("c1"), lit(0L)) <= dfCap && coalesce(col("c2"), lit(0L)) <= dfCap)
-      .select("gram")
-    val k1 = v1.join(kept, "gram")
-    val k2 = v2.join(kept, "gram")
+    // globally so both vectors see the same vocabulary (a side without it counts 0).
+    val kept = v1.select(lit(1).as("side"), col("eid"), col("gram"), col("w"))
+      .union(v2.select(lit(2).as("side"), col("eid"), col("gram"), col("w")))
+      .select(col("*"), rowsOn(1).as("n1"), rowsOn(2).as("n2"))
+      .where(col("n1") <= dfCap && col("n2") <= dfCap)
+      .select(side, col("eid"), col("gram"), col("w"), sum("w").over(byEntity).as("sumw"),
+              sum(col("w") * col("w")).over(byEntity).as("sq"), count(lit(1)).over(byEntity).as("sz"))
+    def vector(s: Int) = kept.where(side === s).select(col("eid").as(s"e$s"), col("gram"),
+      col("w").as(s"w$s"), col("sumw").as(s"sumw$s"), col("sq").as(s"sq$s"), col("sz").as(s"sz$s"))
 
-    val s1 = k1.groupBy("eid").agg(
-      sum("w").as("sumw1"), sum(col("w") * col("w")).as("sq1"), count(lit(1)).as("sz1"))
-      .withColumnRenamed("eid", "e1")
-    val s2 = k2.groupBy("eid").agg(
-      sum("w").as("sumw2"), sum(col("w") * col("w")).as("sq2"), count(lit(1)).as("sz2"))
-      .withColumnRenamed("eid", "e2")
-
-    val common = k1.select(col("eid").as("e1"), col("gram"), col("w").as("w1"))
-      .join(k2.select(col("eid").as("e2"), col("gram"), col("w").as("w2")), "gram")
+    vector(1).join(vector(2), "gram")
       .join(candidates.select("e1", "e2"), Seq("e1", "e2"), "left_semi")
-      .groupBy("e1", "e2")
+      .groupBy("e1", "e2", "sumw1", "sq1", "sz1", "sumw2", "sq2", "sz2")
       .agg(
         sum(col("w1") * col("w2")).as("dot"),
         sum(least(col("w1"), col("w2"))).as("minsum"),
         sum(col("w1") + col("w2")).as("commonsum"),
         count(lit(1)).as("inter"))
-
-    common.join(s1, "e1").join(s2, "e2").select(
-      col("e1"), col("e2"),
-      (col("dot") / sqrt(col("sq1") * col("sq2"))).as(Cosine),
-      (col("inter").cast("double") / (col("sz1") + col("sz2") - col("inter"))).as(Jaccard),
-      (col("minsum") / (col("sumw1") + col("sumw2") - col("minsum"))).as(GenJaccard),
-      (col("commonsum") / (col("sumw1") + col("sumw2"))).as(Sigma))
+      .select(
+        col("e1"), col("e2"),
+        (col("dot") / sqrt(col("sq1") * col("sq2"))).as(Cosine),
+        (col("inter").cast("double") / (col("sz1") + col("sz2") - col("inter"))).as(Jaccard),
+        (col("minsum") / (col("sumw1") + col("sumw2") - col("minsum"))).as(GenJaccard),
+        (col("commonsum") / (col("sumw1") + col("sumw2"))).as(Sigma))
   }
 }

@@ -54,9 +54,9 @@ object MinoanER {
     * partitions its data needs. Without the conf, a cached frame keeps all
     * `spark.sql.shuffle.partitions` partitions, and every scan of it launches
     * that many tasks. `cache()` plans the frame with the conf it sees, so the
-    * setting does not leak into later caches.
+    * setting does not leak into later caches. `resolve` and `BSL.sweep` cache through it.
     */
-  private def cache(df: DataFrame): DataFrame = coalescingCaches(df.sparkSession)(df.cache())
+  private[repro] def cache(df: DataFrame): DataFrame = coalescingCaches(df.sparkSession)(df.cache())
 
   /** A view of the cached `df` whose plan is one `LogicalRDD` leaf over the
     * cache's rows. A plan that reads `df` itself carries `df`'s whole plan,

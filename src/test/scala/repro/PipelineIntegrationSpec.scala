@@ -77,9 +77,14 @@ class PipelineIntegrationSpec extends SparkSpec {
         val frames = Seq(res.matches, res.valueSims, res.neighborSims,
                          res.blocking.tokenBlocks, res.blocking.tokenBlocksAll)
         assert(frames.forall(_.storageLevel == StorageLevel.NONE))
+        // Earlier presets' results are still cached, so the second resolve
+        // must leave exactly the cached RDDs it found.
+        def cachedIds = spark.sparkContext.getRDDStorageInfo.map(_.id).toSet
+        val before = cachedIds
         val one = withConf(Partitions, Some("1"))(MinoanER.resolve(spark, pair.kb1, pair.kb2))
         assert(matchSet(one) == expected)
         one.unpersist()
+        assert(cachedIds == before, s"left cached: ${cachedIds -- before}, released: ${before -- cachedIds}")
       }
   }
 }

@@ -77,6 +77,29 @@ class BslSimilaritiesSpec extends SparkSpec {
     assert(math.abs(r.head.getDouble(3) - 1.0) < 1e-12)
   }
 
+  test("dfCap drops a gram over the cap on one side and absent on the other from that side's norms") {
+    val v1 = vec((0L to 2L).map(i => (i, "hot", 1.0)) :+ ((0L, "a", 1.0)): _*)
+    val v2 = vec((9L, "a", 1.0))
+    // With "hot" in e1's vector, jaccard would be 1/2 and cosine 1/sqrt(2).
+    val s = BslSimilarities.pairSims(v1, v2, allPairs, dfCap = 2).collect()
+    assert(s.length == 1)
+    (2 to 5).foreach(i => assert(math.abs(s.head.getDouble(i) - 1.0) < 1e-12, BslSimilarities.all(i - 2)))
+  }
+
+  test("dfCap keeps a gram exactly at the cap") {
+    val v1 = vec((0L, "g", 1.0), (1L, "g", 1.0))
+    val v2 = vec((9L, "g", 1.0), (8L, "g", 1.0))
+    assert(BslSimilarities.pairSims(v1, v2, allPairs, dfCap = 2).count() == 1)
+    assert(BslSimilarities.pairSims(v1, v2, allPairs, dfCap = 1).count() == 0)
+  }
+
+  test("an entity whose grams are all over the cap yields no row") {
+    val v1 = vec((0L to 2L).map(i => (i, "hot", 1.0)): _*)
+    val v2 = vec((9L, "hot", 1.0), (9L, "a", 1.0))
+    assert(BslSimilarities.pairSims(v1, v2, allPairs, dfCap = 2).count() == 0)
+    assert(BslSimilarities.pairSims(v1, v2, allPairs, dfCap = 3).count() == 1)
+  }
+
   test("all similarity measures stay within [0,1] on random vectors") {
     val rnd = new scala.util.Random(4242)
     for (_ <- 1 to 10) {
