@@ -55,10 +55,7 @@ object BSL {
         (v1, v2) = Weighting.weighted(g1, g2, scheme)
         simRows = BslSimilarities.pairSims(v1, v2, cands).collect()
         (measure, i) <- BslSimilarities.all.zipWithIndex
-        pairs = simRows.iterator.map { r =>
-          val s = r.getDouble(2 + i)
-          (r.getLong(0), r.getLong(1), if (s.isNaN) 0.0 else s)
-        }.toSeq
+        pairs = simRows.iterator.map(r => (r.getLong(0), r.getLong(1), r.getDouble(2 + i))).toSeq
         accepted = UniqueMappingClustering.cluster(pairs)
         t <- thresholds
       } yield {

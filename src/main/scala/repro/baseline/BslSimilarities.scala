@@ -1,6 +1,6 @@
 package repro.baseline
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 
@@ -23,11 +23,17 @@ object BslSimilarities {
   /** (e1, e2, cosine, jaccard, genjaccard, sigma) for the candidate pairs.
     *
     * `dfCap` drops grams whose per-side frequency exceeds the cap (the
-    * stop-word equivalents) to bound the gram join; entity norms/sums are
+    * stop-word equivalents) to bound the pairs per gram; entity norms/sums are
     * computed over the same capped vectors for consistency. One plan: window
     * sums over the union of both sides count each gram's rows per side and
-    * give each entity's totals, which ride through the gram join and the
-    * candidate semi-join as grouping keys of the one aggregation.
+    * give each entity's totals, which ride through the pairing and the
+    * candidate semi-join as grouping keys of the one aggregation. The pairs
+    * that share a gram come from one grouping by gram: each gram's kept rows,
+    * one list per side, and their cross product. A self-join of the union on
+    * gram would shuffle it twice when the vectors are cached, since Spark
+    * reuses no exchange across a self-join of a cache. A measure whose
+    * denominator is 0 (an entity whose kept weights are all 0, as TF-IDF
+    * weighs a gram that every entity holds) scores 0.
     */
   def pairSims(v1: DataFrame, v2: DataFrame, candidates: DataFrame,
                dfCap: Long = 1000): DataFrame = {
@@ -42,10 +48,14 @@ object BslSimilarities {
       .where(col("n1") <= dfCap && col("n2") <= dfCap)
       .select(side, col("eid"), col("gram"), col("w"), sum("w").over(byEntity).as("sumw"),
               sum(col("w") * col("w")).over(byEntity).as("sq"), count(lit(1)).over(byEntity).as("sz"))
-    def vector(s: Int) = kept.where(side === s).select(col("eid").as(s"e$s"), col("gram"),
-      col("w").as(s"w$s"), col("sumw").as(s"sumw$s"), col("sq").as(s"sq$s"), col("sz").as(s"sz$s"))
+    def vector(s: Int) = collect_list(when(side === s, struct(col("eid").as(s"e$s"), col("w").as(s"w$s"),
+      col("sumw").as(s"sumw$s"), col("sq").as(s"sq$s"), col("sz").as(s"sz$s")))).as(s"v$s")
+    def ratio(num: Column, den: Column) = when(den =!= 0, num / den).otherwise(lit(0.0))
 
-    vector(1).join(vector(2), "gram")
+    kept.groupBy("gram").agg(vector(1), vector(2))
+      .select(explode(col("v1")).as("a"), col("v2"))
+      .select(col("a"), explode(col("v2")).as("b"))
+      .select("a.*", "b.*")
       .join(candidates.select("e1", "e2"), Seq("e1", "e2"), "left_semi")
       .groupBy("e1", "e2", "sumw1", "sq1", "sz1", "sumw2", "sq2", "sz2")
       .agg(
@@ -55,9 +65,9 @@ object BslSimilarities {
         count(lit(1)).as("inter"))
       .select(
         col("e1"), col("e2"),
-        (col("dot") / sqrt(col("sq1") * col("sq2"))).as(Cosine),
-        (col("inter").cast("double") / (col("sz1") + col("sz2") - col("inter"))).as(Jaccard),
-        (col("minsum") / (col("sumw1") + col("sumw2") - col("minsum"))).as(GenJaccard),
-        (col("commonsum") / (col("sumw1") + col("sumw2"))).as(Sigma))
+        ratio(col("dot"), sqrt(col("sq1") * col("sq2"))).as(Cosine),
+        ratio(col("inter").cast("double"), col("sz1") + col("sz2") - col("inter")).as(Jaccard),
+        ratio(col("minsum"), col("sumw1") + col("sumw2") - col("minsum")).as(GenJaccard),
+        ratio(col("commonsum"), col("sumw1") + col("sumw2")).as(Sigma))
   }
 }

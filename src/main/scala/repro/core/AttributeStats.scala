@@ -20,26 +20,36 @@ final case class PredStats(pred: String, relation: Boolean, support: Double,
   */
 object AttributeStats {
 
-  /** Every predicate's statistics from one aggregation, collected once: the
-    * grouping set (relation, pred) counts its entities and distinct objects,
-    * the set () counts |E|. An empty KB has no rows, so no statistics.
+  /** Every predicate's statistics of one KB: [[ofEach]] on that KB alone. */
+  def of(triples: DataFrame): Seq[PredStats] = ofEach(Seq(triples)).head
+
+  /** Every predicate's statistics of each KB, from one aggregation over the
+    * side-tagged union of the KBs, collected once: the grouping set
+    * (side, relation, pred) counts each predicate's entities and distinct
+    * objects, the set (side) counts each KB's |E|. An empty KB has no rows,
+    * so no statistics.
     */
-  def of(triples: DataFrame): Seq[PredStats] = {
-    val (relation, pred) = (col("relation"), col(KB.Pred))
-    val rows = triples.withColumn("relation", col(KB.Obj).isNotNull)
-      .groupingSets(Seq(Seq(relation, pred), Seq()), relation, pred)
+  def ofEach(kbs: Seq[DataFrame]): Seq[Seq[PredStats]] = {
+    val (side, relation, pred) = (col("side"), col("relation"), col(KB.Pred))
+    val rows = kbs.zipWithIndex
+      .map { case (t, i) => t.select(lit(i).as("side"), col(KB.Eid), col(KB.Pred), col(KB.Lit), col(KB.Obj)) }
+      .reduce(_ union _)
+      .withColumn("relation", col(KB.Obj).isNotNull)
+      .groupingSets(Seq(Seq(side, relation, pred), Seq(side)), side, relation, pred)
       .agg(countDistinct(KB.Eid), countDistinct(coalesce(col(KB.Lit), col(KB.Obj).cast("string"))),
            grouping_id())
       .collect()
-    val (total, grouped) = rows.partition(_.getLong(4) != 0L)
-    val n = total.headOption.fold(1L)(r => math.max(1L, r.getLong(2))).toDouble
-    grouped.toSeq.map { r =>
-      val ents = r.getLong(2)
-      val s = ents / n
-      // Multi-valued attributes can have more distinct objects than carrying
-      // entities; a ratio above 1 adds no identifying power, so cap at 1.
-      val d = math.min(1.0, r.getLong(3).toDouble / ents)
-      PredStats(r.getString(1), r.getBoolean(0), s, d, if (s + d > 0) 2.0 * s * d / (s + d) else 0.0)
+    val (totals, grouped) = rows.partition(_.getLong(5) != 0L)
+    val n = totals.map(r => r.getInt(0) -> math.max(1L, r.getLong(3)).toDouble).toMap
+    kbs.indices.map { i =>
+      grouped.toSeq.filter(_.getInt(0) == i).map { r =>
+        val ents = r.getLong(3)
+        val s = ents / n.getOrElse(i, 1.0)
+        // Multi-valued attributes can have more distinct objects than carrying
+        // entities; a ratio above 1 adds no identifying power, so cap at 1.
+        val d = math.min(1.0, r.getLong(4).toDouble / ents)
+        PredStats(r.getString(2), r.getBoolean(1), s, d, if (s + d > 0) 2.0 * s * d / (s + d) else 0.0)
+      }
     }
   }
 

@@ -64,11 +64,18 @@ object Heuristics {
     * qualifies.
     */
   def h2(valueSims: DataFrame, matchedE1: DataFrame, matchedE2: DataFrame): DataFrame =
+    h2Keeping(valueSims, matchedE1, matchedE2)
+
+  /** [[h2]]'s matches with the columns `keep` of their rows, such as the
+    * graph's `reciprocal` flag.
+    */
+  private[core] def h2Keeping(valueSims: DataFrame, matchedE1: DataFrame, matchedE2: DataFrame,
+                              keep: String*): DataFrame =
     excludeMatched(valueSims, matchedE1, matchedE2)
       .where(col("vsim") >= 1.0)
       .withColumn("rn", rank("vsim", "e1"))
       .where(col("rn") === 1)
-      .select("e1", "e2")
+      .select(("e1" +: "e2" +: keep).map(col): _*)
 
   /** H3 on the similarity tables: [[h3OnGraph]] over their [[graph]]. */
   def h3(valueSims: DataFrame,
@@ -93,7 +100,16 @@ object Heuristics {
                 matchedE1: DataFrame,
                 matchedE2: DataFrame,
                 K: Int,
-                theta: Double): DataFrame = {
+                theta: Double): DataFrame =
+    h3Keeping(graph, matchedE1, matchedE2, K, theta)
+
+  /** [[h3OnGraph]]'s matches with the columns `keep` of their graph rows. */
+  private[core] def h3Keeping(graph: DataFrame,
+                              matchedE1: DataFrame,
+                              matchedE2: DataFrame,
+                              K: Int,
+                              theta: Double,
+                              keep: String*): DataFrame = {
     val byE1 = Window.partitionBy("e1")
     def score(simCol: String): Column = {
       val pos = rank(simCol, "e1")
@@ -101,13 +117,13 @@ object Heuristics {
       when(pos <= K, (lsize - pos + 1).cast("double") / lsize)
     }
     val scored = excludeMatched(graph, matchedE1, matchedE2)
-      .select(col("e1"), col("e2"), score("vsim").as("sv"), score("nsim").as("sn"))
+      .select(Seq(col("e1"), col("e2"), score("vsim").as("sv"), score("nsim").as("sn")) ++ keep.map(col): _*)
       .where(col("sv").isNotNull || col("sn").isNotNull)
       .withColumn("score",
         lit(theta) * coalesce(col("sv"), lit(0.0)) + lit(1.0 - theta) * coalesce(col("sn"), lit(0.0)))
     scored.withColumn("rn", rank("score", "e1"))
       .where(col("rn") === 1)
-      .select("e1", "e2")
+      .select(("e1" +: "e2" +: keep).map(col): _*)
   }
 
   /** H4 on the similarity tables: [[h4OnGraph]] over their [[graph]]. */
@@ -123,7 +139,8 @@ object Heuristics {
     * OR neighbor candidates, AND ei is among ej's top-K value or neighbor
     * candidates: the graph's `reciprocal` flag, computed from the full sim
     * tables, since reciprocity is a verification of the matches produced by
-    * H1–H3.
+    * H1–H3. Candidates read from the graph (H2's and H3's) can carry the flag
+    * instead (see [[h2Keeping]]), and H4 is then a filter on it.
     */
   def h4OnGraph(candidates: DataFrame, graph: DataFrame): DataFrame =
     candidates.join(graph.where(col("reciprocal")).select("e1", "e2"), Seq("e1", "e2"), "left_semi")

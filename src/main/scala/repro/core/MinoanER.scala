@@ -36,11 +36,14 @@ final case class MinoanERResult(
 object MinoanER {
 
   private[core] val CoalesceCacheConf = "spark.sql.optimizer.canChangeCachedPlanOutputPartitioning"
+  private val coalesceLock = new Object
 
   /** Runs `body` with [[CoalesceCacheConf]] set to true, then restores the
-    * caller's value, or unsets it again if it was unset.
+    * caller's value, or unsets it again if it was unset. The conf is
+    * session-wide, so calls hold one lock: two threads that interleaved the
+    * set and the restore could leave the conf unset under the other's body.
     */
-  private[core] def coalescingCaches[A](spark: SparkSession)(body: => A): A = {
+  private[core] def coalescingCaches[A](spark: SparkSession)(body: => A): A = coalesceLock.synchronized {
     val before = spark.conf.getAll.get(CoalesceCacheConf)
     spark.conf.set(CoalesceCacheConf, "true")
     try body
@@ -73,45 +76,49 @@ object MinoanER {
 
     val blocking = new Blocking(kb1, kb2, params)
 
-    // B_N and H1.
-    val m1 = cache(NameBlocking.h1Matches(blocking.names1, blocking.names2)
-      .withColumn("heuristic", lit("H1")))
-
     // B_T, purging, valueSim. A frame is cached only if it is read twice:
     // the tokens and unpurged B_T are cached in place before the purge reads
     // them, so its histogram job fills those caches; the purged B_T is read
-    // once, by the token weights.
+    // once, by the token weights. Reading the purged B_T runs the front end's
+    // two actions, the statistics and the purge histogram, at the same time.
     val tok1    = cache(blocking.tokens1)
     val tok2    = cache(blocking.tokens2)
     val btAll   = cache(blocking.tokenBlocksAll)
     val weights = ValueSim.tokenWeights(blocking.tokenBlocks)
     val vs      = cache(ValueSim.pairSims(tok1, tok2, weights))
 
+    // B_N and H1.
+    val m1 = cache(NameBlocking.h1Matches(blocking.names1, blocking.names2)
+      .withColumn("heuristic", lit("H1")))
+
     // Neighbor similarity over the top-N relations, read once, by the graph.
     val nbrs1 = NeighborSim.topNeighbors(kb1, blocking.topRels1)
     val nbrs2 = NeighborSim.topNeighbors(kb2, blocking.topRels2)
     val ns    = NeighborSim.pairSims(nbrs1, nbrs2, vs)
 
-    // The candidate graph H2-H4 read.
+    // The candidate graph H2-H4 read, built while H1 is: neither reads the other.
     val graph = cache(Heuristics.graph(vs, ns, params.K))
+    Parallel.both(graph.count(), m1.count())
 
     // From here on, the cached graph, m1 and m2 are read through leaves.
     val graphLeaf = leaf(graph)
     val m1Leaf    = leaf(m1)
 
-    // H2 on entities unmatched by H1.
-    val m2 = cache(Heuristics.h2(graph, m1Leaf.select("e1"), m1Leaf.select("e2"))
+    // H2 on entities unmatched by H1. H2's and H3's rows carry the graph's
+    // H4 flag, so only H1's need the semi-join.
+    val m2 = cache(Heuristics.h2Keeping(graph, m1Leaf.select("e1"), m1Leaf.select("e2"), "reciprocal")
       .withColumn("heuristic", lit("H2")))
     val m2Leaf = leaf(m2)
 
     // H3 on entities unmatched by H1 and H2.
     val matched1 = m1Leaf.select("e1").union(m2Leaf.select("e1"))
     val matched2 = m1Leaf.select("e2").union(m2Leaf.select("e2"))
-    val m3 = Heuristics.h3OnGraph(graphLeaf, matched1, matched2, params.K, params.theta)
+    val m3 = Heuristics.h3Keeping(graphLeaf, matched1, matched2, params.K, params.theta, "reciprocal")
       .withColumn("heuristic", lit("H3"))
 
     // H4 verification of the disjunction.
-    val matches = cache(Heuristics.h4OnGraph(m1Leaf.unionByName(m2Leaf).unionByName(m3), graphLeaf))
+    val matches = cache(Heuristics.h4OnGraph(m1Leaf, graphLeaf)
+      .unionByName(m2Leaf.unionByName(m3).where(col("reciprocal")).drop("reciprocal")))
 
     // A cache whose buffers are loaded no longer reads the frames it was
     // computed from, so those can be released once `matches` is. A leaf's

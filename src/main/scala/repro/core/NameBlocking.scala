@@ -34,14 +34,16 @@ object NameBlocking {
       .select("e1", "e2")
       .distinct()
 
-  /** H1 matches: name blocks of size exactly 1 x 1. */
+  /** H1 matches: name blocks of size exactly 1 x 1. A name is unique on a
+    * side when its smallest and largest entity ids agree; unlike a distinct
+    * count, `min` and `max` ignore duplicate rows, so Spark drops the names'
+    * `distinct` under this aggregation.
+    */
   def h1Matches(names1: DataFrame, names2: DataFrame): DataFrame = {
-    val u1 = names1.groupBy("name")
-      .agg(countDistinct(KB.Eid).as("c1"), min(KB.Eid).as("e1"))
-      .where(col("c1") === 1)
-    val u2 = names2.groupBy("name")
-      .agg(countDistinct(KB.Eid).as("c2"), min(KB.Eid).as("e2"))
-      .where(col("c2") === 1)
-    u1.join(u2, "name").select("e1", "e2").distinct()
+    def unique(names: DataFrame, e: String): DataFrame =
+      names.groupBy("name").agg(min(KB.Eid).as(e), max(KB.Eid).as("last"))
+        .where(col(e) === col("last"))
+        .select("name", e)
+    unique(names1, "e1").join(unique(names2, "e2"), "name").select("e1", "e2").distinct()
   }
 }

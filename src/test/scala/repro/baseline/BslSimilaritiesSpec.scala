@@ -1,8 +1,11 @@
 package repro.baseline
 
+import org.apache.spark.sql.execution.UnionExec
+import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
+import org.apache.spark.sql.execution.exchange.ShuffleExchangeExec
 import repro.SparkSpec
 
-class BslSimilaritiesSpec extends SparkSpec {
+class BslSimilaritiesSpec extends SparkSpec with AdaptiveSparkPlanHelper {
   import spark.implicits._
 
   private def vec(rows: (Long, String, Double)*) =
@@ -115,5 +118,31 @@ class BslSimilaritiesSpec extends SparkSpec {
         }
       }
     }
+  }
+
+  test("a measure whose denominator is 0 scores 0") {
+    // TF-IDF weighs a gram every entity holds 0: e0's weights are all 0, so
+    // its norm and weight sum are 0, and with e9's also 0 so are the
+    // generalized Jaccard and sigma denominators. Jaccard counts grams.
+    val s = simsOf(vec((0L, "a", 0.0)), vec((9L, "a", 0.0)))
+    assert(s == Map(BslSimilarities.Cosine -> 0.0, BslSimilarities.Jaccard -> 1.0,
+                    BslSimilarities.GenJaccard -> 0.0, BslSimilarities.Sigma -> 0.0))
+    val one = simsOf(vec((0L, "a", 0.0)), vec((9L, "a", 2.0)))
+    assert(one == Map(BslSimilarities.Cosine -> 0.0, BslSimilarities.Jaccard -> 1.0,
+                      BslSimilarities.GenJaccard -> 0.0, BslSimilarities.Sigma -> 1.0))
+  }
+
+  test("over cached vectors, the union of both sides is shuffled on gram once") {
+    val v1 = vec((0L, "a", 1.0), (0L, "b", 2.0), (1L, "b", 1.0)).cache()
+    val v2 = vec((9L, "a", 1.0), (9L, "b", 1.0), (8L, "c", 1.0)).cache()
+    try {
+      val sims = BslSimilarities.pairSims(v1, v2, Seq((0L, 9L), (1L, 9L)).toDF("e1", "e2"))
+      assert(sims.collect().length == 2)
+      // A reused exchange is a leaf of the plan, so it is not counted here.
+      val unionShuffles = collect(sims.queryExecution.executedPlan) {
+        case e: ShuffleExchangeExec if e.child.isInstanceOf[UnionExec] => e
+      }
+      assert(unionShuffles.size == 1, sims.queryExecution.executedPlan)
+    } finally Seq(v1, v2).foreach(_.unpersist(blocking = true))
   }
 }

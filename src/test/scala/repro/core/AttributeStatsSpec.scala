@@ -109,6 +109,22 @@ class AttributeStatsSpec extends SparkSpec {
     assert(AttributeStats.topKNameAttributes(literalsOnly, 1) == Seq("name"))
   }
 
+  // Resolve's front end aggregates both KBs of a pair at once, tagged by side;
+  // each side's statistics must be those of its KB aggregated alone.
+  for (cfg <- Datasets.all)
+    test(s"${cfg.name} @ test scale: the pair aggregation equals each KB's own statistics") {
+      val pair = KBGen.generate(spark, Datasets.testScale(cfg))
+      val Seq(s1, s2) = AttributeStats.ofEach(Seq(pair.kb1, pair.kb2))
+      assert(s1.nonEmpty && s2.nonEmpty)
+      assert(s1.toSet == AttributeStats.of(pair.kb1).toSet)
+      assert(s2.toSet == AttributeStats.of(pair.kb2).toSet)
+    }
+
+  test("a pair with an empty KB has no statistics on that side only") {
+    val Seq(none, some) = AttributeStats.ofEach(Seq(KB.fromRows(spark, Seq.empty), kb))
+    assert(none.isEmpty && some.toSet == AttributeStats.of(kb).toSet)
+  }
+
   // DuckDB counts each predicate's entities and distinct objects, then applies
   // the paper's formulas; `of` must agree for the given kind of predicate on
   // this KB and on both Rexa-DBLP KBs. The oracle loads every column as VARCHAR.

@@ -80,4 +80,18 @@ class HeuristicsEquivalenceSpec extends SparkSpec {
       assertSame(Heuristics.h4OnGraph(t.candidates, Heuristics.graph(t.vs, t.ns, k)),
                  ReferenceHeuristics.h4(t.candidates, t.vs, t.ns, k), s"H4, K=$k")
   }
+
+  test("H2's and H3's rows filtered on their reciprocal flag equal H4 of them in the reference") {
+    def flagged(rows: DataFrame) = rows.where($"reciprocal").drop("reciprocal")
+    for (k <- Seq(1, 2, 15)) {
+      val graph = Heuristics.graph(t.vs, t.ns, k)
+      assertSame(flagged(Heuristics.h2Keeping(graph, t.matched1, t.matched2, "reciprocal")),
+                 ReferenceHeuristics.h4(ReferenceHeuristics.h2(t.vs, t.matched1, t.matched2), t.vs, t.ns, k),
+                 s"H2 then H4, K=$k")
+      assertSame(flagged(Heuristics.h3Keeping(graph, t.matched1, t.matched2, k, 0.6, "reciprocal")),
+                 ReferenceHeuristics.h4(ReferenceHeuristics.h3(t.vs, t.ns, t.matched1, t.matched2, k, 0.6),
+                                        t.vs, t.ns, k),
+                 s"H3 then H4, K=$k")
+    }
+  }
 }

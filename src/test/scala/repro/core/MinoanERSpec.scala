@@ -1,8 +1,13 @@
 package repro.core
 
+import java.util.concurrent.ConcurrentLinkedQueue
+import scala.jdk.CollectionConverters._
 import repro.SparkSpec
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.functions._
 import org.apache.spark.storage.StorageLevel
+import org.scalatest.concurrent.Eventually._
+import org.scalatest.time.SpanSugar._
 
 /** End-to-end pipeline on a hand-crafted KB pair where every heuristic has a
   * designated winner:
@@ -176,6 +181,42 @@ class MinoanERSpec extends SparkSpec {
     assert(before.forall(_.nonEmpty))
     r.unpersist()
     assert(contents == before)
+  }
+
+  test("every job of a resolve call carries the caller's job group") {
+    // A marker job of its own group comes before the first call and after
+    // each call. The listener sees job starts in submission order, so the
+    // jobs between two markers are one call's. A branch thread that kept the
+    // first call's group would tag the second call's jobs with it.
+    val sc = spark.sparkContext
+    val groups = new ConcurrentLinkedQueue[String]
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit =
+        groups.add(Option(e.properties).flatMap(p => Option(p.getProperty("spark.jobGroup.id"))).getOrElse("none"))
+    }
+    def marker(g: String): Unit = {
+      sc.setJobGroup(g, g)
+      try sc.parallelize(Seq(1)).count()
+      finally sc.clearJobGroup()
+    }
+    sc.addSparkListener(listener)
+    try {
+      marker("start")
+      for (g <- Seq("first", "second")) {
+        spark.catalog.clearCache()
+        sc.setJobGroup(g, g)
+        try MinoanER.resolve(spark, kb1, kb2, MinoanERParams(purgeSmooth = 100.0)).unpersist()
+        finally sc.clearJobGroup()
+        marker(s"$g-end")
+      }
+      eventually(timeout(60.seconds)) { assert(groups.contains("second-end")) }
+      def between(from: String, to: String) =
+        groups.asScala.toSeq.dropWhile(_ != from).drop(1).takeWhile(_ != to)
+      val first = between("start", "first-end")
+      val second = between("first-end", "second-end")
+      assert(first.nonEmpty && first.forall(_ == "first"), first.distinct)
+      assert(second.nonEmpty && second.forall(_ == "second"), second.distinct)
+    } finally sc.removeSparkListener(listener)
   }
 
   // Output contract: an e1 matched by H2 or H3 has one match, while H1 may

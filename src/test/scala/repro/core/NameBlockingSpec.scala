@@ -79,4 +79,17 @@ class NameBlockingSpec extends SparkSpec {
       NameBlocking.names(b, Seq("v"))).as[(Long, Long)].collect().toSet
     assert(m == Set((0L, 9L)))
   }
+
+  test("an entity that holds one name under both name attributes still forms a unique block") {
+    val a = KB.fromRows(spark, Seq(
+      KB.TripleRow(0, "t", Some("Same Name"), None),
+      KB.TripleRow(0, "u", Some("same name "), None)))
+    val b = KB.fromRows(spark, Seq(KB.TripleRow(9, "v", Some("same name"), None)))
+    val names2 = NameBlocking.names(b, Seq("v"))
+    assert(NameBlocking.h1Matches(NameBlocking.names(a, Seq("t", "u")), names2)
+      .as[(Long, Long)].collect().toSet == Set((0L, 9L)))
+    // The same with the duplicate (eid, name) rows kept.
+    val dup = Seq((0L, "same name"), (0L, "same name")).toDF(KB.Eid, "name")
+    assert(NameBlocking.h1Matches(dup, names2).as[(Long, Long)].collect().toSet == Set((0L, 9L)))
+  }
 }
