@@ -27,8 +27,8 @@ object TablesJob {
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(s"minoaner-table$table")
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
+      .config("spark.log.level", "WARN")
       .getOrCreate()
-    spark.sparkContext.setLogLevel("WARN")
     val cfgs = Datasets.all.map(_.scaled(sf))
     try println(table match {
       case "1" => Tables.table1(spark, cfgs)

@@ -26,17 +26,25 @@ object BSL {
   val Thresholds: Seq[Double] = (0 until 20).map(_ * 0.05)
 
   /** Candidate pairs = co-occurrence in B_N ∪ B_T (purged token blocks),
-    * built uncached from MinoanER's front end with its default parameters.
+    * from MinoanER's front end with its default parameters. Returns them
+    * cached and materialized, with the front end's own caches released; the
+    * caller releases the result.
     */
-  def candidates(kb1: DataFrame, kb2: DataFrame): DataFrame =
-    new Blocking(kb1, kb2, MinoanERParams()).candidatePairs
+  def candidates(kb1: DataFrame, kb2: DataFrame): DataFrame = {
+    val blocking = new Blocking(kb1, kb2, MinoanERParams())
+    val cands = MinoanER.cache(blocking.candidatePairs)
+    cands.count()
+    blocking.unpersist()
+    cands
+  }
 
   /** Full sweep over every measure; returns (best outcome, all outcomes).
     *
     * One greedy UMC pass per (n, weighting, measure) is threshold-sweepable
     * (see UniqueMappingClustering), so the 420-config grid costs 24 passes.
-    * The candidates and each n's gram frames are cached through the
-    * coalescing `MinoanER.cache`; all are released before the sweep returns.
+    * The candidates come cached from [[candidates]], and each n's gram
+    * frames are cached through the coalescing `MinoanER.cache`; all are
+    * released before the sweep returns.
     */
   def sweep(spark: SparkSession,
             kb1: DataFrame, kb2: DataFrame, gt: DataFrame,
@@ -44,7 +52,7 @@ object BSL {
             weightings: Seq[String] = Weighting.all,
             thresholds: Seq[Double] = Thresholds): (BslOutcome, Seq[BslOutcome]) = {
 
-    val cands = MinoanER.cache(candidates(kb1, kb2))
+    val cands = candidates(kb1, kb2)
     val gtSet = gt.select("e1", "e2").collect().map(r => (r.getLong(0), r.getLong(1))).toSet
 
     val outcomes = ns.flatMap { n =>

@@ -61,16 +61,10 @@ object Heuristics {
     * be the candidate graph: its pairs without a valueSim never qualify.
     * Pairs below 1 are dropped before the ranking, so the ranking sees only
     * the few that can match, and e1's best pair is still first when it
-    * qualifies.
-    */
-  def h2(valueSims: DataFrame, matchedE1: DataFrame, matchedE2: DataFrame): DataFrame =
-    h2Keeping(valueSims, matchedE1, matchedE2)
-
-  /** [[h2]]'s matches with the columns `keep` of their rows, such as the
+    * qualifies. Each match keeps the columns `keep` of its row, such as the
     * graph's `reciprocal` flag.
     */
-  private[core] def h2Keeping(valueSims: DataFrame, matchedE1: DataFrame, matchedE2: DataFrame,
-                              keep: String*): DataFrame =
+  def h2(valueSims: DataFrame, matchedE1: DataFrame, matchedE2: DataFrame, keep: String*): DataFrame =
     excludeMatched(valueSims, matchedE1, matchedE2)
       .where(col("vsim") >= 1.0)
       .withColumn("rn", rank("vsim", "e1"))
@@ -95,21 +89,14 @@ object Heuristics {
     * weight θ on the value list and 1-θ on the neighbor list; the top-1
     * aggregate candidate is a match ("there is no better candidate for ei
     * than ej"). Ranking happens after the matched entities are excluded.
+    * Each match keeps the columns `keep` of its graph row.
     */
   def h3OnGraph(graph: DataFrame,
                 matchedE1: DataFrame,
                 matchedE2: DataFrame,
                 K: Int,
-                theta: Double): DataFrame =
-    h3Keeping(graph, matchedE1, matchedE2, K, theta)
-
-  /** [[h3OnGraph]]'s matches with the columns `keep` of their graph rows. */
-  private[core] def h3Keeping(graph: DataFrame,
-                              matchedE1: DataFrame,
-                              matchedE2: DataFrame,
-                              K: Int,
-                              theta: Double,
-                              keep: String*): DataFrame = {
+                theta: Double,
+                keep: String*): DataFrame = {
     val byE1 = Window.partitionBy("e1")
     def score(simCol: String): Column = {
       val pos = rank(simCol, "e1")
@@ -140,7 +127,7 @@ object Heuristics {
     * candidates: the graph's `reciprocal` flag, computed from the full sim
     * tables, since reciprocity is a verification of the matches produced by
     * H1–H3. Candidates read from the graph (H2's and H3's) can carry the flag
-    * instead (see [[h2Keeping]]), and H4 is then a filter on it.
+    * instead (see [[h2]]'s `keep`), and H4 is then a filter on it.
     */
   def h4OnGraph(candidates: DataFrame, graph: DataFrame): DataFrame =
     candidates.join(graph.where(col("reciprocal")).select("e1", "e2"), Seq("e1", "e2"), "left_semi")

@@ -57,7 +57,8 @@ object MinoanER {
     * partitions its data needs. Without the conf, a cached frame keeps all
     * `spark.sql.shuffle.partitions` partitions, and every scan of it launches
     * that many tasks. `cache()` plans the frame with the conf it sees, so the
-    * setting does not leak into later caches. `resolve` and `BSL.sweep` cache through it.
+    * setting does not leak into later caches. `Blocking`, `resolve` and the
+    * BSL baseline cache through it.
     */
   private[repro] def cache(df: DataFrame): DataFrame = coalescingCaches(df.sparkSession)(df.cache())
 
@@ -76,16 +77,10 @@ object MinoanER {
 
     val blocking = new Blocking(kb1, kb2, params)
 
-    // B_T, purging, valueSim. A frame is cached only if it is read twice:
-    // the tokens and unpurged B_T are cached in place before the purge reads
-    // them, so its histogram job fills those caches; the purged B_T is read
-    // once, by the token weights. Reading the purged B_T runs the front end's
-    // two actions, the statistics and the purge histogram, at the same time.
-    val tok1    = cache(blocking.tokens1)
-    val tok2    = cache(blocking.tokens2)
-    val btAll   = cache(blocking.tokenBlocksAll)
+    // valueSim over the purged B_T, which is read once, by the token weights.
+    // The tokens come from the front end's caches.
     val weights = ValueSim.tokenWeights(blocking.tokenBlocks)
-    val vs      = cache(ValueSim.pairSims(tok1, tok2, weights))
+    val vs      = cache(ValueSim.pairSims(blocking.tokens1, blocking.tokens2, weights))
 
     // B_N and H1.
     val m1 = cache(NameBlocking.h1Matches(blocking.names1, blocking.names2)
@@ -106,14 +101,14 @@ object MinoanER {
 
     // H2 on entities unmatched by H1. H2's and H3's rows carry the graph's
     // H4 flag, so only H1's need the semi-join.
-    val m2 = cache(Heuristics.h2Keeping(graph, m1Leaf.select("e1"), m1Leaf.select("e2"), "reciprocal")
+    val m2 = cache(Heuristics.h2(graph, m1Leaf.select("e1"), m1Leaf.select("e2"), "reciprocal")
       .withColumn("heuristic", lit("H2")))
     val m2Leaf = leaf(m2)
 
     // H3 on entities unmatched by H1 and H2.
     val matched1 = m1Leaf.select("e1").union(m2Leaf.select("e1"))
     val matched2 = m1Leaf.select("e2").union(m2Leaf.select("e2"))
-    val m3 = Heuristics.h3Keeping(graphLeaf, matched1, matched2, params.K, params.theta, "reciprocal")
+    val m3 = Heuristics.h3OnGraph(graphLeaf, matched1, matched2, params.K, params.theta, "reciprocal")
       .withColumn("heuristic", lit("H3"))
 
     // H4 verification of the disjunction.
@@ -126,7 +121,8 @@ object MinoanER {
     // recomputed after they are gone. `valueSims` stays cached for the
     // callers that read it.
     matches.count()
-    Seq(graph, m1, m2, tok1, tok2, btAll).foreach(_.unpersist(blocking = true))
+    Seq(graph, m1, m2).foreach(_.unpersist(blocking = true))
+    blocking.unpersist()
 
     MinoanERResult(matches, blocking, vs, ns)
   }

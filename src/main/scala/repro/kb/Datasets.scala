@@ -80,7 +80,7 @@ object Datasets {
     // idf-flat while 5-token decoys dominate every single-pair ranking
     // (value-only matching collapses); H3's sum over 3 mirrored neighbors
     // still accumulates enough signal to out-rank the decoys.
-    nearTokens = 2, decoyTokens = 5,
+    decoyTokens = 5,
     nearSpread = 8, nameSpread = 3,
     tokensPerEntity1 = 8, tokensPerEntity2 = 8,
     vocabSize = 4000, vocabOverlap = 0.3,

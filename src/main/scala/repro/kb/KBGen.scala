@@ -40,7 +40,7 @@ final case class KBConfig(
     n1: Int, n2: Int, nMatches: Int,
     pName: Double, pNameNoise: Double,
     pStrong: Double, pDecoy: Double,
-    strongTokens: Int = 5, nearTokens: Int = 2, decoyTokens: Int = 3,
+    decoyTokens: Int = 3,
     nearSpread: Int = 3,
     nameSpread: Int = 0,
     tokensPerEntity1: Int = 10, tokensPerEntity2: Int = 10,
@@ -75,6 +75,10 @@ final case class KBConfig(
 final case class KBPair(cfg: KBConfig, kb1: DataFrame, kb2: DataFrame, groundTruth: DataFrame)
 
 object KBGen {
+
+  /** Tokens a strong pair shares, and tokens a near pair shares. */
+  private val StrongTokens = 5
+  private val NearTokens = 2
 
   /** Deterministic zipf(1.0) sampler over [0, size). */
   private final class Zipf(size: Int, rnd: Random) {
@@ -130,11 +134,11 @@ object KBGen {
       named(i)  = rnd.nextDouble() < cfg.pName
       strong(i) = rnd.nextDouble() < cfg.pStrong
       if (strong(i)) {
-        for (j <- 0 until cfg.strongTokens) {
+        for (j <- 0 until StrongTokens) {
           val t = s"s${i}x$j"; special1(i) += t; special2(i) += t
         }
       } else {
-        for (j <- 0 until cfg.nearTokens) {
+        for (j <- 0 until NearTokens) {
           val t = s"m${i}x$j"; special1(i) += t; special2(i) += t
           for (_ <- 0 until cfg.nearSpread) {
             special1(rnd.nextInt(cfg.n1)) += t

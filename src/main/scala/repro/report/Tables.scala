@@ -62,6 +62,7 @@ object Tables {
     val n1 = KB.numEntities(pair.kb1).toDouble
     val n2 = KB.numEntities(pair.kb2).toDouble
     val blockingPrf = Evaluation.blockingPRF(blocking.candidatePairs, pair.groundTruth, bnC + btC)
+    blocking.unpersist()
     Table2Row(cfg.name, bnN, btN, bnC, btC, n1 * n2, blockingPrf)
   }
 

@@ -1,5 +1,6 @@
 package repro.baseline
 
+import org.apache.spark.storage.StorageLevel
 import repro.SparkSpec
 import repro.kb.{Datasets, KBGen}
 
@@ -40,6 +41,17 @@ class BSLSpec extends SparkSpec {
     val cands = BSL.candidates(pair.kb1, pair.kb2)
     val found = pair.groundTruth.join(cands, Seq("e1", "e2"), "left_semi").count()
     assert(found.toDouble / pair.groundTruth.count() > 0.9)
+    cands.unpersist(blocking = true)
+  }
+
+  test("candidates leave exactly one cached RDD, their own") {
+    spark.catalog.clearCache()
+    val cands = BSL.candidates(pair.kb1, pair.kb2)
+    val cached = spark.sparkContext.getRDDStorageInfo
+    assert(cached.length == 1, cached.map(_.name).mkString("; "))
+    assert(cands.storageLevel != StorageLevel.NONE)
+    cands.unpersist(blocking = true)
+    assert(spark.sparkContext.getRDDStorageInfo.isEmpty)
   }
 
   test("outcomes carry their configuration") {

@@ -79,7 +79,7 @@ class BslSimilaritiesEquivalenceSpec extends SparkSpec {
     test(s"${cfg.name} @ test scale: equal to the reference for n in 1-3, TF and TF-IDF") {
       withConf("spark.sql.shuffle.partitions", Some("4")) {
         val pair = KBGen.generate(spark, Datasets.testScale(cfg))
-        val cands = BSL.candidates(pair.kb1, pair.kb2).cache()
+        val cands = BSL.candidates(pair.kb1, pair.kb2)
         for (n <- Seq(1, 2, 3)) {
           val g1 = Ngrams.entityGrams(pair.kb1, n).cache()
           val g2 = Ngrams.entityGrams(pair.kb2, n).cache()

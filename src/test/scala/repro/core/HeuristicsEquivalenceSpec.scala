@@ -85,10 +85,10 @@ class HeuristicsEquivalenceSpec extends SparkSpec {
     def flagged(rows: DataFrame) = rows.where($"reciprocal").drop("reciprocal")
     for (k <- Seq(1, 2, 15)) {
       val graph = Heuristics.graph(t.vs, t.ns, k)
-      assertSame(flagged(Heuristics.h2Keeping(graph, t.matched1, t.matched2, "reciprocal")),
+      assertSame(flagged(Heuristics.h2(graph, t.matched1, t.matched2, "reciprocal")),
                  ReferenceHeuristics.h4(ReferenceHeuristics.h2(t.vs, t.matched1, t.matched2), t.vs, t.ns, k),
                  s"H2 then H4, K=$k")
-      assertSame(flagged(Heuristics.h3Keeping(graph, t.matched1, t.matched2, k, 0.6, "reciprocal")),
+      assertSame(flagged(Heuristics.h3OnGraph(graph, t.matched1, t.matched2, k, 0.6, "reciprocal")),
                  ReferenceHeuristics.h4(ReferenceHeuristics.h3(t.vs, t.ns, t.matched1, t.matched2, k, 0.6),
                                         t.vs, t.ns, k),
                  s"H3 then H4, K=$k")

@@ -162,6 +162,15 @@ class MinoanERSpec extends SparkSpec {
     assert(left.isEmpty, left.map(_.name).mkString("; "))
   }
 
+  test("a Blocking releases every frame it cached") {
+    spark.catalog.clearCache()
+    val blocking = new Blocking(kb1, kb2, MinoanERParams(purgeSmooth = 100.0))
+    assert(blocking.candidatePairs.count() > 0)
+    blocking.unpersist()
+    val left = spark.sparkContext.getRDDStorageInfo
+    assert(left.isEmpty, left.map(_.name).mkString("; "))
+  }
+
   test("resolve returns with only matches and valueSims cached") {
     spark.catalog.clearCache()
     val r = MinoanER.resolve(spark, kb1, kb2, MinoanERParams(purgeSmooth = 100.0))

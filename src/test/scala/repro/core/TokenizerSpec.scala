@@ -87,5 +87,6 @@ class TokenizerSpec extends SparkSpec {
     val blocking = new Blocking(kb, kb, MinoanERParams())
     val plans = Seq(blocking.tokens1, blocking.tokens2) ++ Seq(1, 2, 3).map(Ngrams.entityGrams(kb, _))
     for (df <- plans) assert(udfs(df).isEmpty, df.queryExecution.analyzed)
+    blocking.unpersist()
   }
 }
